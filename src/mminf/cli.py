@@ -13,7 +13,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,10 @@ from .bounds import (
     verify_kernel_lemma,
     verify_theorem,
 )
-from .kernel import Observable, QueueParams, kernel_entry
+from .kernel import Observable, QueueParams, kernel_log_matrix
+# not called here, but benchmarks/tracing.py wraps mminf.cli.kernel_entry by
+# name, and without it every traced benchmark round fails to start
+from .kernel import kernel_entry  # noqa: F401
 from .oracle import uniformized_kernel
 
 DEFAULT_RHO = [0.25, 0.5, 1.0, 2.0, 5.0, 10.0]
@@ -144,28 +147,25 @@ def parse_args(argv) -> RunConfig:
 
 
 def _validate(command, opts, parser):
-    deficit = opts.get("deficit")
-    if deficit is not None and not 0.0 < deficit < 1.0:
-        parser.error(f"--deficit must lie in (0,1), got {deficit}")
-    for name in ("p",):
+    def require(name, ok, what):
         vals = opts.get(name)
-        if vals:
-            for v in vals:
-                if not 0.0 < v < 1.0:
-                    parser.error(f"--p values must lie in (0,1), got {v}")
-    for v in opts.get("a") or []:
-        if not 0.0 <= v <= 1.0:
-            parser.error(f"--a values must lie in [0,1], got {v}")
-    for v in opts.get("b") or []:
-        if v < 0.0:
-            parser.error(f"--b values must be non-negative, got {v}")
-    rho_opt = opts.get("rho")
-    rho_vals = (
-        rho_opt if isinstance(rho_opt, list) else [rho_opt] if rho_opt is not None else []
-    )
-    for v in rho_vals:
-        if v <= 0.0:
-            parser.error(f"--rho values must be positive, got {v}")
+        for v in vals if isinstance(vals, list) else [] if vals is None else [vals]:
+            if not (math.isfinite(v) and ok(v)):
+                parser.error(f"--{name} values must be {what}, got {v}")
+
+    require("deficit", lambda v: 0.0 < v < 1.0, "in (0,1)")
+    require("p", lambda v: 0.0 < v < 1.0, "in (0,1)")
+    require("a", lambda v: 0.0 <= v <= 1.0, "in [0,1]")
+    require("b", lambda v: v >= 0.0, "finite and non-negative")
+    for name in ("rho", "mu", "t", "tol"):
+        require(name, lambda v: v > 0.0, "finite and positive")
+    for name in ("kmax", "nmax"):
+        require(name, lambda v: v >= 0, "non-negative")
+    require("n", lambda v: v >= 1, ">= 1")
+    if command == "oracle-check":
+        need = max(opts["kmax"], opts["nmax"], 1)
+        if opts["N"] < need:
+            parser.error(f"--N must be >= max(--kmax, --nmax, 1) = {need}")
     for key in ("f",):
         if key in opts and opts[key] is not None:
             try:
@@ -216,15 +216,13 @@ def _oracle_cell(args):
     params = QueueParams(lam=rho * mu, mu=mu)
     t = params.t_for_p(p)
     mat = uniformized_kernel(params, t, big_n, tol)
-    rows = []
-    for k in range(kmax + 1):
-        disc = max(
-            abs(math.exp(kernel_entry(params, t, k, n)) - mat[k, n])
-            for n in range(nmax + 1)
-        )
-        verdict = "pass" if disc <= 10.0 * tol else "fail"
-        rows.append([_fmt(rho), _fmt(p), str(k), _fmt(disc), _fmt(tol), verdict])
-    return rows
+    exact = np.exp(kernel_log_matrix(params, t, kmax, nmax))
+    discs = np.abs(exact - mat[: kmax + 1, : nmax + 1]).max(axis=1)
+    return [
+        [_fmt(rho), _fmt(p), str(k), _fmt(disc), _fmt(tol),
+         "pass" if disc <= 10.0 * tol else "fail"]
+        for k, disc in enumerate(discs.tolist())
+    ]
 
 
 def _run_cells(cells, worker, jobs):

@@ -10,7 +10,7 @@ Chernoff bound refined by exact partial summation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -9,7 +9,7 @@ can be computed in parallel with no coordination.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -23,6 +23,7 @@ from .distributions import (
     convolution_log_matrix,
     convolve,
     logsumexp,
+    logsumexp_axis0,
     poisson_log_pmf,
     poisson_window,
 )
@@ -38,8 +39,10 @@ class QueueParams:
     mu: float
 
     def __post_init__(self):
-        if self.lam <= 0 or self.mu <= 0:
-            raise ValueError(f"rates must be positive, got lam={self.lam}, mu={self.mu}")
+        if not all(math.isfinite(x) and x > 0 for x in (self.lam, self.mu)):
+            raise ValueError(
+                f"rates must be finite and positive, got lam={self.lam}, mu={self.mu}"
+            )
 
     @property
     def rho(self) -> float:
@@ -181,6 +184,27 @@ def kernel_log_matrix(params: QueueParams, t: float, k_max: int, n_max: int) -> 
     return np.stack(
         [convolution_log_matrix(k, p, b, n_max) for k in range(k_max + 1)]
     )
+
+
+def kernel_log_column(params: QueueParams, t: float, k_max: int, n: int) -> np.ndarray:
+    """Column n of kernel_log_matrix(params, t, k_max, n), log P(n | k) for
+    k <= k_max, without the columns before it.
+
+    Each entry sums the same binomial * Poisson terms as the matrix does, so
+    the two agree to rounding; the cost is (k_max + 1) * (min(k_max, n) + 1)
+    terms, whatever the size of n.
+    """
+    if t <= 0:
+        raise ValueError(f"time must be positive, got {t}")
+    p = params.p(t)
+    b = params.rho * params.q(t)
+    j_hi = min(k_max, n)
+    pois = [poisson_log_pmf(b, n - j) for j in range(j_hi + 1)]
+    terms = np.full((j_hi + 1, k_max + 1), LOG_ZERO)
+    for k in range(k_max + 1):
+        for j in range(min(k, n) + 1):
+            terms[j, k] = binomial_log_pmf(k, p, j) + pois[j]
+    return logsumexp_axis0(terms)
 
 
 def mehler_row(

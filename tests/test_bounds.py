@@ -3,12 +3,14 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mminf.bounds import (
     LOG_TWELVE,
+    _log_semigroup_profile,
     glmrs_bound,
     lemma_K,
     log_laplacian,
@@ -20,7 +22,7 @@ from mminf.bounds import (
     verify_theorem,
 )
 from mminf.distributions import LOG_ZERO
-from mminf.kernel import Observable, QueueParams
+from mminf.kernel import Observable, QueueParams, log_semigroup_apply
 
 rho_st = st.floats(min_value=1e-2, max_value=50.0)
 p_st = st.floats(min_value=0.0, max_value=0.999)
@@ -53,10 +55,15 @@ class TestGlmrsBound:
         assert glmrs_bound(1.0, 0.5) == pytest.approx(expected, rel=1e-14)
 
     @given(rho_st, p_st)
+    @example(rho=0.01171875, p=0.99609375)
+    @example(rho=0.5, p=0.999)
     def test_offset_identity(self, rho, p):
-        assert sharp_bound(rho, p) - glmrs_bound(rho, p) == pytest.approx(
-            LOG_TWELVE, abs=1e-15
-        )
+        # glmrs_bound rounds sharp - log 12 once, so the difference can only
+        # be trusted to a few ulps of the operands: |sharp_bound| reaches ~15
+        # near p = 0.999, where one ulp is 1.8e-15
+        sharp = sharp_bound(rho, p)
+        tol = 4.0 * math.ulp(max(abs(sharp), LOG_TWELVE))
+        assert sharp - glmrs_bound(rho, p) == pytest.approx(LOG_TWELVE, abs=tol)
 
 
 class TestLemmaK:
@@ -201,6 +208,7 @@ class TestVerifyTheorem:
         f = Observable.indicator([0])
         report = verify_theorem(self.PARAMS, 1.0, f, 20)
         assert report.verdict
+        assert all(case.budget > 0 for case in report.cases)
 
     def test_glmrs_margin_offset(self):
         f = Observable.from_table({0: 1.0, 2: 3.0})
@@ -208,6 +216,41 @@ class TestVerifyTheorem:
         loose = verify_theorem(self.PARAMS, 0.8, f, 15, against="glmrs")
         for cs, cl in zip(sharp.cases, loose.cases):
             assert cl.margin - cs.margin == pytest.approx(LOG_TWELVE, abs=1e-12)
+
+    @given(
+        rho=st.floats(min_value=0.25, max_value=10.0),
+        p=st.floats(min_value=0.05, max_value=0.95),
+        table=st.dictionaries(
+            st.integers(0, 15), st.floats(min_value=0.1, max_value=10.0),
+            min_size=1, max_size=8,
+        ),
+        n_hi=st.integers(0, 41),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_table_profile_matches_scalar_route(self, rho, p, table, n_hi):
+        # the cached kernel columns and the scalar kernel_entry sums differ
+        # only in rounding, a few ulps of log A_t f
+        params = QueueParams(lam=rho, mu=1.0)
+        t = params.t_for_p(p)
+        f = Observable.from_table(table)
+        logs, _ = _log_semigroup_profile(params, t, f, n_hi, 1e-12)
+        scalar = np.array(
+            [log_semigroup_apply(params, t, f, n) for n in range(n_hi + 1)]
+        )
+        tol = 1e-14 + 8.0 * np.spacing(np.abs(scalar))
+        assert np.all(np.abs(logs - scalar) <= tol)
+
+    def test_table_point_far_beyond_n_max(self):
+        # a support point far past the profile costs a few kernel entries,
+        # not a block reaching out to it
+        t = self.PARAMS.t_for_p(0.5)
+        f = Observable.indicator([0, 5000])
+        logs, _ = _log_semigroup_profile(self.PARAMS, t, f, 6, 1e-12)
+        scalar = np.array([log_semigroup_apply(self.PARAMS, t, f, n) for n in range(7)])
+        assert np.all(np.abs(logs - scalar) <= 1e-14 + 8.0 * np.spacing(np.abs(scalar)))
+        report = verify_theorem(self.PARAMS, t, f, 5)
+        assert [case.key[2] for case in report.cases] == [1, 2, 3, 4, 5]
+        assert all(case.testable for case in report.cases)
 
     def test_lemma_implies_theorem(self):
         # wherever the kernel lemma passes, single-point observables inherit a

@@ -1,11 +1,21 @@
 """CLI tests: argument parsing, exit codes, CSV shape and byte stability."""
 
 import csv
+import hashlib
 import math
 
 import pytest
 
 from mminf.cli import RunConfig, main, parse_args, parse_observable
+from mminf.kernel import QueueParams, kernel_entry
+from mminf.oracle import uniformized_kernel
+
+# SHA-256 of the default CSVs; a change is deliberate and recorded in CHANGES.md
+GOLDEN = {
+    "sweep": "fb4c2d42f3cc64ef8afdad2a63057dd24c85d072b23879cc97297baf444e23d4",
+    "verify-generalized":
+        "7137a0afabc5750900f61361a26837898b40b2102e5ec6f7cfd916375a5e9b36",
+}
 
 
 def run_cli(args):
@@ -41,6 +51,57 @@ class TestParseArgs:
         with pytest.raises(SystemExit) as exc:
             parse_args(["verify-theorem", "--f", "nonsense"])
         assert exc.value.code == 2
+
+
+class TestBadInput:
+    """Every bad value is a usage error: exit 2 from main, no traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--rho", "nan"],
+            ["sweep", "--rho", "inf"],
+            ["sweep", "--rho", "-inf"],
+            ["sweep", "--p", "nan"],
+            ["sweep", "--mu", "nan"],
+            ["sweep", "--mu", "inf"],
+            ["verify-generalized", "--b", "nan"],
+            ["verify-generalized", "--b", "inf"],
+            ["verify-generalized", "--a", "nan"],
+            ["sharpness", "--t", "nan"],
+            ["sharpness", "--t", "inf"],
+            ["sharpness", "--rho", "nan"],
+            ["oracle-check", "--tol", "nan"],
+            ["oracle-check", "--tol", "inf"],
+            ["oracle-check", "--tol", "0"],
+            ["sweep", "--kmax", "-1"],
+            ["sweep", "--nmax", "-1"],
+            ["verify-generalized", "--kmax", "-1"],
+            ["sharpness", "--t", "-1"],
+            ["sharpness", "--t", "0"],
+            ["sharpness", "--n", "0"],
+            ["oracle-check", "--N", "5"],
+            ["oracle-check", "--kmax", "30", "--N", "25"],
+        ],
+        ids=" ".join,
+    )
+    def test_usage_error(self, argv, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_oracle_smallest_valid_N(self, tmp_path):
+        out = tmp_path / "oracle.csv"
+        argv = ["oracle-check", "--rho", "1", "--p", "0.5", "--kmax", "3",
+                "--nmax", "6", "--N", "6", "--out", str(out)]
+        # N = 6 is accepted, and the oracle flags its boundary leak
+        with pytest.warns(RuntimeWarning, match="boundary leak"):
+            assert main(argv) in (0, 1)
+        assert len(out.read_text().splitlines()) == 2 + 4
 
 
 class TestParseObservable:
@@ -150,3 +211,41 @@ class TestRun:
                         "--kmax", "2", "--nmax", "3",
                         "--out", str(tmp_path / "missing" / "x.csv")])
         assert code == 2
+
+
+class TestGolden:
+    @pytest.mark.parametrize("command", sorted(GOLDEN))
+    def test_default_csv_digest(self, command, tmp_path):
+        out = tmp_path / f"{command}.csv"
+        assert main([command, "--out", str(out)]) == 1
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[command]
+
+
+def test_oracle_rows_match_scalar_route(tmp_path):
+    # oracle-check takes its discrepancies from kernel_log_matrix rows; the
+    # scalar kernel_entry route must give the same numbers within 1e-15
+    rhos, ps, kmax, nmax, big_n, tol = [0.5, 5.0], [0.1, 0.9], 10, 20, 60, 1e-10
+    out = tmp_path / "oracle.csv"
+    argv = ["oracle-check", "--kmax", str(kmax), "--nmax", str(nmax),
+            "--N", str(big_n), "--tol", str(tol), "--out", str(out)]
+    for rho in rhos:
+        argv += ["--rho", str(rho)]
+    for p in ps:
+        argv += ["--p", str(p)]
+    assert main(argv) == 0
+    got = {
+        (float(r[0]), float(r[1]), int(r[2])): float(r[3])
+        for r in csv.reader(out.read_text().splitlines()[2:])
+    }
+    assert len(got) == len(rhos) * len(ps) * (kmax + 1)
+    for rho in rhos:
+        for p in ps:
+            params = QueueParams(lam=rho, mu=1.0)
+            t = params.t_for_p(p)
+            mat = uniformized_kernel(params, t, big_n, tol)
+            for k in range(kmax + 1):
+                disc = max(
+                    abs(math.exp(kernel_entry(params, t, k, n)) - mat[k, n])
+                    for n in range(nmax + 1)
+                )
+                assert got[(rho, p, k)] == pytest.approx(disc, abs=1e-15)

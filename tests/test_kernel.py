@@ -15,6 +15,7 @@ from mminf.kernel import (
     QueueParams,
     generator_apply,
     kernel_entry,
+    kernel_log_column,
     kernel_log_matrix,
     log_semigroup_apply,
     mehler_row,
@@ -33,6 +34,13 @@ class TestQueueParams:
             QueueParams(0.0, 1.0)
         with pytest.raises(ValueError):
             QueueParams(1.0, -2.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rates_rejected(self, bad):
+        with pytest.raises(ValueError):
+            QueueParams(bad, 1.0)
+        with pytest.raises(ValueError):
+            QueueParams(1.0, bad)
 
     def test_derived_quantities(self):
         params = QueueParams(lam=3.0, mu=2.0)
@@ -268,3 +276,20 @@ def test_kernel_log_matrix_consistent_with_entries():
             assert g[k, n] == pytest.approx(
                 kernel_entry(PARAMS, t, k, n), abs=1e-13
             )
+
+
+@given(
+    rho=st.floats(min_value=0.01, max_value=20.0),
+    p=st.floats(min_value=0.001, max_value=0.999),
+    k_max=st.integers(0, 45),
+    n=st.integers(0, 45),
+)
+@settings(max_examples=60, deadline=None)
+def test_kernel_log_column_matches_matrix(rho, p, k_max, n):
+    # the same terms summed in another numpy reduction order: a few ulps apart
+    params = QueueParams(lam=rho, mu=1.0)
+    t = params.t_for_p(p)
+    col = kernel_log_column(params, t, k_max, n)
+    ref = kernel_log_matrix(params, t, k_max, n)[:, n]
+    assert col.shape == (k_max + 1,)
+    assert np.all(np.abs(col - ref) <= 4.0 * np.spacing(np.maximum(np.abs(ref), 1.0)))

@@ -136,6 +136,17 @@ class TestExactRational:
         fails = exact_lemma_check(Fraction(2), Fraction(1, 10), 4, 4)
         assert (2, 1) in fails
 
+    def test_pinned_counterexample(self):
+        # rho = 2, p = 1/10, k = 2, n = 1: the kernel ratio beats the paper's
+        # constant K = 2 D^2 / (D^2 - p^2), D = rho (1-p)^2 + p, exactly
+        rho, p = Fraction(2), Fraction(1, 10)
+        g = exact_rational_convolution(2, p, rho * (1 - p), 2)
+        ratio = g[1] ** 2 / (g[2] * g[0])
+        assert ratio == Fraction(16562, 8231)
+        d2 = (rho * (1 - p) ** 2 + p) ** 2
+        assert ratio > 2 * d2 / (d2 - p * p)
+        assert exact_lemma_check(rho, p, 2, 1) == [(2, 1)]
+
     def test_generalized_check_reduction(self):
         # a=p, b=rho(1-p) reproduces the kernel inequality exactly
         rho, p = Fraction(1), Fraction(1, 2)
