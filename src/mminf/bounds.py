@@ -12,11 +12,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import count
 
 import numpy as np
 
 from .distributions import LOG_ZERO, convolution_log_matrix, logsumexp_axis0
 from .kernel import (
+    DEFAULT_DEFICIT,
     Observable,
     QueueParams,
     kernel_log_column,
@@ -102,14 +104,9 @@ def log_laplacian(h_minus: float, h_mid: float, h_plus: float) -> float:
     return math.log(h_plus) + math.log(h_minus) - 2.0 * math.log(h_mid)
 
 
-def log_laplacian_from_logs(lm: float, l0: float, lp: float) -> float:
-    """Discrete Laplacian of a sequence given directly in the log domain."""
-    return lp + lm - 2.0 * l0
-
-
-def _entry_log_error(log_mass: float, n_terms: int) -> float:
+def _entry_log_error(log_mass, n_terms):
     # conservative absolute-error bound for a log-domain mass assembled from
-    # n_terms log-sum-exp terms of log/lgamma evaluations
+    # n_terms log-sum-exp terms of log/lgamma evaluations; floats or arrays
     return 2e-14 * (abs(log_mass) + n_terms + 10.0)
 
 
@@ -156,113 +153,93 @@ class VerificationReport:
         cases = self.testable_cases
         return max((c.budget for c in cases), default=0.0)
 
-    def merge(self, other: "VerificationReport") -> "VerificationReport":
-        return VerificationReport(
-            description=self.description, cases=self.cases + other.cases
-        )
+
+def _cases(key_prefix: tuple, margins, budgets, testable) -> list:
+    """The cases of lattice points n = 1, 2, ... of one row, keyed
+    key_prefix + (n,); the only place a CaseResult is built."""
+    return [
+        CaseResult(key_prefix + (n,), margin, budget)
+        if ok
+        else CaseResult(key_prefix + (n,), math.nan, 0.0, testable=False)
+        for n, margin, budget, ok in zip(count(1), margins, budgets, testable)
+    ]
 
 
-def _row_margins(
-    log_row: np.ndarray,
-    n_max: int,
-    log_const,
-    n_terms: int,
-    key_prefix: tuple,
-) -> list:
+def _verify_rows(g: np.ndarray, log_const, key_prefix: tuple) -> list:
+    """Cases of log_const(n) + g[k, n+1] + g[k, n-1] - 2 g[k, n] >= 0 for every
+    row k of the block g of log masses and 1 <= n <= g.shape[1] - 2."""
+    n_max = g.shape[1] - 2
+    lc = np.array([log_const(n) for n in range(1, n_max + 1)])
+    lm, l0, lp = g[:, :-2], g[:, 1:-1], g[:, 2:]
+    testable = np.minimum(np.minimum(lm, l0), lp) >= LOG_MASS_FLOOR
+    with np.errstate(invalid="ignore"):  # -inf - -inf where untestable
+        margins = lc + lp + lm - 2.0 * l0
+    # an entry of row k sums k + 1 log-sum-exp terms
+    n_terms = np.arange(1.0, g.shape[0] + 1.0)[:, None]
+    budgets = (
+        _entry_log_error(lp, n_terms)
+        + _entry_log_error(lm, n_terms)
+        + 2.0 * _entry_log_error(l0, n_terms)
+        + 1e-14
+    )
     cases = []
-    for n in range(1, n_max + 1):
-        lm, l0, lp = log_row[n - 1], log_row[n], log_row[n + 1]
-        if min(lm, l0, lp) < LOG_MASS_FLOOR:
-            cases.append(CaseResult(key_prefix + (n,), math.nan, 0.0, testable=False))
-            continue
-        lc = log_const(n)
-        margin = lc + lp + lm - 2.0 * l0
-        budget = (
-            _entry_log_error(lp, n_terms)
-            + _entry_log_error(lm, n_terms)
-            + 2.0 * _entry_log_error(l0, n_terms)
-            + 1e-14
-        )
-        cases.append(CaseResult(key_prefix + (n,), margin, budget))
+    rows = zip(margins.tolist(), budgets.tolist(), testable.tolist())
+    for k, (row_margins, row_budgets, row_testable) in enumerate(rows):
+        cases.extend(_cases(key_prefix + (k,), row_margins, row_budgets, row_testable))
     return cases
 
 
 def verify_kernel_lemma(
-    params: QueueParams,
-    t: float,
-    k_max: int,
-    n_max: int,
-    deficit: float = 1e-12,
+    params: QueueParams, t: float, k_max: int, n_max: int
 ) -> VerificationReport:
     """Check G_k(n)^2 <= K * G_k(n+1) * G_k(n-1) for k <= k_max, 1 <= n <= n_max."""
     if t <= 0:
         raise ValueError(f"time must be positive, got {t}")
     rho, p = params.rho, params.p(t)
     g = kernel_log_matrix(params, t, k_max, n_max + 1)
-    cases = []
-    for k in range(k_max + 1):
-        cases.extend(
-            _row_margins(
-                g[k],
-                n_max,
-                lambda n: math.log(lemma_K(rho, p, n)),
-                k + 1,
-                (rho, p, k),
-            )
-        )
     return VerificationReport(
         description=f"kernel semi-ultra-log-convexity rho={rho} p={p} "
         f"k<={k_max} n<={n_max}",
-        cases=cases,
+        cases=_verify_rows(g, lambda n: math.log(lemma_K(rho, p, n)), (rho, p)),
     )
 
 
 def verify_generalized(
-    a: float,
-    b: float,
-    k_max: int,
-    n_max: int,
-    deficit: float = 1e-12,
+    a: float, b: float, k_max: int, n_max: int
 ) -> VerificationReport:
     """Check H_k(n)^2 <= M * H_k(n+1) * H_k(n-1) for H_k = B(k,a) * Poisson(b)."""
     if a == 0.0 and b == 0.0:
         raise ValueError("degenerate input: a = 0 and b = 0")
-    cases = []
-    for k in range(k_max + 1):
-        log_row = convolution_log_matrix(k, a, b, n_max + 1)
-        cases.extend(
-            _row_margins(
-                log_row,
-                n_max,
-                lambda n: math.log(remark_M(a, b, n)),
-                k + 1,
-                (a, b, k),
-            )
-        )
+    g = np.stack(
+        [convolution_log_matrix(k, a, b, n_max + 1) for k in range(k_max + 1)]
+    )
     return VerificationReport(
         description=f"generalized semi-ultra-log-convexity a={a} b={b} "
         f"k<={k_max} n<={n_max}",
-        cases=cases,
+        cases=_verify_rows(g, lambda n: math.log(remark_M(a, b, n)), (a, b)),
     )
 
 
 @lru_cache(maxsize=256)
-def _kernel_column(lam: float, mu: float, t: float, k_max: int, n: int) -> np.ndarray:
-    # G[k, n] for k <= k_max, shared read-only by every table observable of
-    # one (rho, p) cell whose support holds n: its sharp and its 1/12 reports
-    column = kernel_log_column(QueueParams(lam, mu), t, k_max, n)
+def _kernel_column(
+    lam: float, mu: float, t: float, k_min: int, k_max: int, n: int
+) -> np.ndarray:
+    # G[k, n] for k_min <= k <= k_max, shared read-only by every table
+    # observable of one (rho, p) cell whose support holds n: its sharp and its
+    # 1/12 reports
+    column = kernel_log_column(QueueParams(lam, mu), t, k_max, n, k_min)
     column.flags.writeable = False
     return column
 
 
 def _log_semigroup_profile(
-    params: QueueParams, t: float, f: Observable, n_hi: int, deficit: float
+    params: QueueParams, t: float, f: Observable, n_lo: int, n_hi: int, deficit: float
 ) -> tuple[np.ndarray, float]:
-    """log A_t f(n) for n = 0..n_hi, and an error bound valid for each value."""
+    """log A_t f(n) for n = n_lo..n_hi, and an error bound valid for each value."""
     if f.is_table:
         support = f.support
         g = np.stack(
-            [_kernel_column(params.lam, params.mu, t, n_hi, m) for m in support]
+            [_kernel_column(params.lam, params.mu, t, n_lo, n_hi, m) for m in support]
         )
         log_f = np.array([math.log(f.table[m]) for m in support])
         # terms[i, n] = log f(m_i) + G[n, m_i], summed over the support
@@ -273,7 +250,7 @@ def _log_semigroup_profile(
         )
         return logs, float(per_value_err)
     logs = np.array(
-        [log_semigroup_apply(params, t, f, n, deficit) for n in range(n_hi + 1)]
+        [log_semigroup_apply(params, t, f, n, deficit) for n in range(n_lo, n_hi + 1)]
     )
     n_terms = 64
     per_value_err = 0.0
@@ -289,7 +266,7 @@ def verify_theorem(
     t: float,
     f: Observable,
     n_max: int,
-    deficit: float = 1e-12,
+    deficit: float = DEFAULT_DEFICIT,
     against: str = "sharp",
 ) -> VerificationReport:
     """Check the semi-log-convexity of the semigroup: the discrete Laplacian
@@ -300,25 +277,18 @@ def verify_theorem(
         raise ValueError(f"unknown bound {against!r}")
     rho, p = params.rho, params.p(t)
     bound = sharp_bound(rho, p) if against == "sharp" else glmrs_bound(rho, p)
-    logs, per_value_err = _log_semigroup_profile(params, t, f, n_max + 1, deficit)
+    logs, per_value_err = _log_semigroup_profile(params, t, f, 0, n_max + 1, deficit)
     lm, l0, lp = logs[:-2], logs[1:-1], logs[2:]
     floor = LOG_MASS_FLOOR + math.log(max(f.sup, 1e-300))
     testable = np.minimum(np.minimum(lm, l0), lp) >= floor
     with np.errstate(invalid="ignore"):  # -inf - -inf where untestable
         margins = (lp + lm - 2.0 * l0) - bound
+    # one float object shared by every case, not one per case
     budget = 4.0 * per_value_err + 1e-14
-    cases = [
-        CaseResult((rho, p, n), margin, budget)
-        if ok
-        else CaseResult((rho, p, n), math.nan, 0.0, testable=False)
-        for n, margin, ok in zip(
-            range(1, n_max + 1), margins.tolist(), testable.tolist()
-        )
-    ]
     return VerificationReport(
         description=f"semigroup semi-log-convexity ({against}) rho={rho} p={p} "
         f"n<={n_max}",
-        cases=cases,
+        cases=_cases((rho, p), margins.tolist(), [budget] * n_max, testable.tolist()),
     )
 
 
@@ -327,7 +297,7 @@ def sharpness_decay(
     f: Observable,
     n: int,
     t_sequence,
-    deficit: float = 1e-12,
+    deficit: float = DEFAULT_DEFICIT,
 ) -> list:
     """Magnitudes of both sides of the sharp inequality along increasing t;
     both vanish in the long-time limit for bounded observables."""
@@ -335,9 +305,8 @@ def sharpness_decay(
         raise ValueError(f"lattice point must be >= 1, got {n}")
     out = []
     for t in t_sequence:
-        lm = log_semigroup_apply(params, t, f, n - 1, deficit)
-        l0 = log_semigroup_apply(params, t, f, n, deficit)
-        lp = log_semigroup_apply(params, t, f, n + 1, deficit)
+        logs, _ = _log_semigroup_profile(params, t, f, n - 1, n + 1, deficit)
+        lm, l0, lp = logs.tolist()
         lhs = abs(lp + lm - 2.0 * l0)
         rhs = abs(sharp_bound(params.rho, params.p(t)))
         out.append((t, lhs, rhs))

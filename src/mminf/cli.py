@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import math
 import os
 import sys
@@ -32,6 +33,22 @@ from .oracle import uniformized_kernel
 
 DEFAULT_RHO = [0.25, 0.5, 1.0, 2.0, 5.0, 10.0]
 DEFAULT_P = [round(0.05 * i, 2) for i in range(1, 20)]
+
+# the values a command uses for a grid option that is not given
+GRID_DEFAULTS = {
+    "verify-lemma": {"rho": DEFAULT_RHO, "p": DEFAULT_P},
+    "sweep": {"rho": DEFAULT_RHO, "p": DEFAULT_P},
+    "verify-theorem": {
+        "rho": [0.5, 1.0, 2.0],
+        "p": [round(0.1 * i, 1) for i in range(1, 10)],
+    },
+    "verify-generalized": {
+        "a": [0.0, 0.25, 0.5, 0.75, 0.9],
+        "b": [0.0, 0.5, 1.0, 2.0, 5.0],
+    },
+    "oracle-check": {"rho": [0.5, 1.0, 2.0, 5.0], "p": [0.1, 0.5, 0.9]},
+    "sharpness": {"t": [1.0, 2.0, 4.0, 8.0, 16.0]},
+}
 
 
 @dataclass
@@ -66,7 +83,6 @@ def _fmt(x) -> str:
 
 
 def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--deficit", type=float, default=1e-12)
     p.add_argument("--out", type=str, default=None)
     p.add_argument("--strict", action="store_true")
     p.add_argument("--jobs", type=int, default=1)
@@ -146,14 +162,20 @@ def parse_args(argv) -> RunConfig:
     return RunConfig(command=command, options=opts)
 
 
+def _values(command, opts, name) -> list:
+    """The values of an option as a list, or the command's grid defaults."""
+    vals = opts.get(name)
+    if vals is None:
+        vals = GRID_DEFAULTS.get(command, {}).get(name, [])
+    return vals if isinstance(vals, list) else [vals]
+
+
 def _validate(command, opts, parser):
     def require(name, ok, what):
-        vals = opts.get(name)
-        for v in vals if isinstance(vals, list) else [] if vals is None else [vals]:
+        for v in _values(command, opts, name):
             if not (math.isfinite(v) and ok(v)):
                 parser.error(f"--{name} values must be {what}, got {v}")
 
-    require("deficit", lambda v: 0.0 < v < 1.0, "in (0,1)")
     require("p", lambda v: 0.0 < v < 1.0, "in (0,1)")
     require("a", lambda v: 0.0 <= v <= 1.0, "in [0,1]")
     require("b", lambda v: v >= 0.0, "finite and non-negative")
@@ -162,19 +184,24 @@ def _validate(command, opts, parser):
     for name in ("kmax", "nmax"):
         require(name, lambda v: v >= 0, "non-negative")
     require("n", lambda v: v >= 1, ">= 1")
+    if "mu" in opts:  # each such command runs at arrival rate rho * mu
+        mu = opts["mu"]
+        what = f"such that rho * {mu} is finite and positive"
+        require("rho", lambda v: 0.0 < v * mu < math.inf, what)
     if command == "oracle-check":
         need = max(opts["kmax"], opts["nmax"], 1)
         if opts["N"] < need:
             parser.error(f"--N must be >= max(--kmax, --nmax, 1) = {need}")
-    for key in ("f",):
-        if key in opts and opts[key] is not None:
-            try:
-                parse_observable(opts[key])
-            except (ValueError, KeyError) as exc:
-                parser.error(f"bad --f spec: {exc}")
+    if opts.get("f") is not None:
+        try:
+            parse_observable(opts["f"])
+        except (ValueError, KeyError) as exc:
+            parser.error(f"bad --f spec: {exc}")
+    if command != "sharpness" and not _grid(command, opts)[1]:
+        parser.error("the grid has no cell to check (a = 0 with b = 0 is degenerate)")
 
 
-def _report_rows(report, id_names, verdict_of=None):
+def _report_rows(report):
     rows = []
     for case in report.cases:
         ids = [_fmt(x) for x in case.key]
@@ -189,26 +216,23 @@ def _report_rows(report, id_names, verdict_of=None):
 
 
 def _lemma_cell(args):
-    rho, p, mu, kmax, nmax, deficit = args
+    rho, p, mu, kmax, nmax = args
     params = QueueParams(lam=rho * mu, mu=mu)
-    report = verify_kernel_lemma(params, params.t_for_p(p), kmax, nmax, deficit)
-    return _report_rows(report, ("rho", "p", "k", "n"))
+    return _report_rows(verify_kernel_lemma(params, params.t_for_p(p), kmax, nmax))
 
 
 def _theorem_cell(args):
-    rho, p, mu, nmax, deficit, f_spec, bound = args
+    rho, p, mu, nmax, f_spec, bound = args
     params = QueueParams(lam=rho * mu, mu=mu)
     f = parse_observable(f_spec)
-    report = verify_theorem(
-        params, params.t_for_p(p), f, nmax, deficit, against=bound
+    return _report_rows(
+        verify_theorem(params, params.t_for_p(p), f, nmax, against=bound)
     )
-    return _report_rows(report, ("rho", "p", "n"))
 
 
 def _generalized_cell(args):
-    a, b, kmax, nmax, deficit = args
-    report = verify_generalized(a, b, kmax, nmax, deficit)
-    return _report_rows(report, ("a", "b", "k"))
+    a, b, kmax, nmax = args
+    return _report_rows(verify_generalized(a, b, kmax, nmax))
 
 
 def _oracle_cell(args):
@@ -225,6 +249,42 @@ def _oracle_cell(args):
     ]
 
 
+def _grid(command, o):
+    """The worker of a grid command, its cells (one worker call each) and the
+    CSV header of the rows the worker returns."""
+
+    def product(*names):
+        return itertools.product(*(_values(command, o, name) for name in names))
+
+    checked = ["margin", "error_budget", "verdict"]
+    if command in ("verify-lemma", "sweep"):
+        cells = [
+            (rho, p, o["mu"], o["kmax"], o["nmax"]) for rho, p in product("rho", "p")
+        ]
+        return _lemma_cell, cells, ["rho", "p", "k", "n"] + checked
+    if command == "verify-theorem":
+        cells = [
+            (rho, p, o["mu"], o["nmax"], o["f"], o["bound"])
+            for rho, p in product("rho", "p")
+        ]
+        return _theorem_cell, cells, ["rho", "p", "n"] + checked
+    if command == "verify-generalized":
+        cells = [
+            (a, b, o["kmax"], o["nmax"])
+            for a, b in product("a", "b")
+            if not (a == 0.0 and b == 0.0)
+        ]
+        return _generalized_cell, cells, ["a", "b", "k", "n"] + checked
+    if command == "oracle-check":
+        cells = [
+            (rho, p, o["mu"], o["kmax"], o["nmax"], o["N"], o["tol"])
+            for rho, p in product("rho", "p")
+        ]
+        header = ["rho", "p", "k", "max_abs_discrepancy", "tol", "verdict"]
+        return _oracle_cell, cells, header
+    raise ValueError(f"unknown command {command!r}")
+
+
 def _run_cells(cells, worker, jobs):
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -237,56 +297,13 @@ def _run_cells(cells, worker, jobs):
 def run(config: RunConfig) -> int:
     o = config.options
     jobs = o.get("jobs", 1)
-    deficit = o.get("deficit", 1e-12)
-    if config.command in ("verify-lemma", "sweep"):
-        rhos = o["rho"] or DEFAULT_RHO
-        ps = o["p"] or DEFAULT_P
-        cells = [
-            (rho, p, o["mu"], o["kmax"], o["nmax"], deficit)
-            for rho in rhos
-            for p in ps
-        ]
-        rows = _run_cells(cells, _lemma_cell, jobs)
-        header = ["rho", "p", "k", "n", "margin", "error_budget", "verdict"]
-    elif config.command == "verify-theorem":
-        rhos = o["rho"] or [0.5, 1.0, 2.0]
-        ps = o["p"] or [round(0.1 * i, 1) for i in range(1, 10)]
-        cells = [
-            (rho, p, o["mu"], o["nmax"], deficit, o["f"], o["bound"])
-            for rho in rhos
-            for p in ps
-        ]
-        rows = _run_cells(cells, _theorem_cell, jobs)
-        header = ["rho", "p", "n", "margin", "error_budget", "verdict"]
-    elif config.command == "verify-generalized":
-        a_vals = o["a"] or [0.0, 0.25, 0.5, 0.75, 0.9]
-        b_vals = o["b"] or [0.0, 0.5, 1.0, 2.0, 5.0]
-        cells = [
-            (a, b, o["kmax"], o["nmax"], deficit)
-            for a in a_vals
-            for b in b_vals
-            if not (a == 0.0 and b == 0.0)
-        ]
-        rows = _run_cells(cells, _generalized_cell, jobs)
-        header = ["a", "b", "k", "n", "margin", "error_budget", "verdict"]
-    elif config.command == "oracle-check":
-        rhos = o["rho"] or [0.5, 1.0, 2.0, 5.0]
-        ps = o["p"] or [0.1, 0.5, 0.9]
-        cells = [
-            (rho, p, o["mu"], o["kmax"], o["nmax"], o["N"], o["tol"])
-            for rho in rhos
-            for p in ps
-        ]
-        rows = _run_cells(cells, _oracle_cell, jobs)
-        header = ["rho", "p", "k", "max_abs_discrepancy", "tol", "verdict"]
-    elif config.command == "sharpness":
-        t_vals = sorted(o["t"] or [1.0, 2.0, 4.0, 8.0, 16.0])
+    if config.command == "sharpness":
+        t_vals = sorted(_values("sharpness", o, "t"))
         params = QueueParams(lam=o["rho"] * o["mu"], mu=o["mu"])
         f = parse_observable(o["f"])
-        table = sharpness_decay(params, f, o["n"], t_vals, deficit)
         rows = []
         t_final = t_vals[-1]
-        for t, lhs, rhs in table:
+        for t, lhs, rhs in sharpness_decay(params, f, o["n"], t_vals):
             if t == t_final:
                 verdict = "pass" if max(lhs, rhs) <= o["delta"] else "fail"
             else:
@@ -294,7 +311,8 @@ def run(config: RunConfig) -> int:
             rows.append([_fmt(t), _fmt(lhs), _fmt(rhs), verdict])
         header = ["t", "laplacian_abs", "bound_abs", "verdict"]
     else:
-        raise ValueError(f"unknown command {config.command!r}")
+        worker, cells, header = _grid(config.command, o)
+        rows = _run_cells(cells, worker, jobs)
 
     n_ids = len(header) - 3
     rows.sort(key=lambda r: tuple(float(x) for x in r[:n_ids]))

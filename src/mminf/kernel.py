@@ -25,7 +25,6 @@ from .distributions import (
     logsumexp,
     logsumexp_axis0,
     poisson_log_pmf,
-    poisson_window,
 )
 
 DEFAULT_DEFICIT = 1e-12
@@ -186,13 +185,15 @@ def kernel_log_matrix(params: QueueParams, t: float, k_max: int, n_max: int) -> 
     )
 
 
-def kernel_log_column(params: QueueParams, t: float, k_max: int, n: int) -> np.ndarray:
+def kernel_log_column(
+    params: QueueParams, t: float, k_max: int, n: int, k_min: int = 0
+) -> np.ndarray:
     """Column n of kernel_log_matrix(params, t, k_max, n), log P(n | k) for
-    k <= k_max, without the columns before it.
+    k_min <= k <= k_max, without the columns before it.
 
     Each entry sums the same binomial * Poisson terms as the matrix does, so
-    the two agree to rounding; the cost is (k_max + 1) * (min(k_max, n) + 1)
-    terms, whatever the size of n.
+    the two agree to rounding; the cost is (k_max + 1 - k_min) *
+    (min(k_max, n) + 1) terms, whatever the size of n.
     """
     if t <= 0:
         raise ValueError(f"time must be positive, got {t}")
@@ -200,10 +201,10 @@ def kernel_log_column(params: QueueParams, t: float, k_max: int, n: int) -> np.n
     b = params.rho * params.q(t)
     j_hi = min(k_max, n)
     pois = [poisson_log_pmf(b, n - j) for j in range(j_hi + 1)]
-    terms = np.full((j_hi + 1, k_max + 1), LOG_ZERO)
-    for k in range(k_max + 1):
+    terms = np.full((j_hi + 1, k_max + 1 - k_min), LOG_ZERO)
+    for k in range(k_min, k_max + 1):
         for j in range(min(k, n) + 1):
-            terms[j, k] = binomial_log_pmf(k, p, j) + pois[j]
+            terms[j, k - k_min] = binomial_log_pmf(k, p, j) + pois[j]
     return logsumexp_axis0(terms)
 
 
@@ -235,27 +236,21 @@ def semigroup_apply(
     k: int,
     deficit: float = DEFAULT_DEFICIT,
 ) -> SemigroupValue:
-    """Expected value of f at time t started from k, with certified error.
+    """Expected value of f at time t started from k, with certified error:
+    the exponential of log_semigroup_apply.
 
     Table observables are summed exactly over their support (no truncation
     error); bounded callables are summed over a certified window and carry a
-    sup * tail_deficit truncation bound.
+    sup * deficit truncation bound.
     """
     if t < 0:
         raise ValueError(f"time must be non-negative, got {t}")
     if t == 0:
         return SemigroupValue(value=f(k), error=0.0)
-    if f.is_table:
-        total = sum(
-            f.table[m] * math.exp(kernel_entry(params, t, k, m))
-            for m in f.support
-        )
-        return SemigroupValue(value=total, error=0.0)
-    row = mehler_row(params, t, k, deficit)
-    total = 0.0
-    for n in range(row.pmf.offset, row.pmf.support_end + 1):
-        total += f(n) * row.pmf.mass(n)
-    return SemigroupValue(value=total, error=f.sup * row.pmf.tail_deficit)
+    return SemigroupValue(
+        value=math.exp(log_semigroup_apply(params, t, f, k, deficit)),
+        error=0.0 if f.is_table else f.sup * deficit,
+    )
 
 
 def log_semigroup_apply(

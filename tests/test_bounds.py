@@ -209,6 +209,8 @@ class TestVerifyTheorem:
         report = verify_theorem(self.PARAMS, 1.0, f, 20)
         assert report.verdict
         assert all(case.budget > 0 for case in report.cases)
+        # one budget object for the whole report, not one float per case
+        assert len({id(case.budget) for case in report.testable_cases}) == 1
 
     def test_glmrs_margin_offset(self):
         f = Observable.from_table({0: 1.0, 2: 3.0})
@@ -225,17 +227,19 @@ class TestVerifyTheorem:
             min_size=1, max_size=8,
         ),
         n_hi=st.integers(0, 41),
+        n_lo=st.integers(0, 41),
     )
     @settings(max_examples=50, deadline=None)
-    def test_table_profile_matches_scalar_route(self, rho, p, table, n_hi):
+    def test_table_profile_matches_scalar_route(self, rho, p, table, n_hi, n_lo):
         # the cached kernel columns and the scalar kernel_entry sums differ
         # only in rounding, a few ulps of log A_t f
+        n_lo = min(n_lo, n_hi)
         params = QueueParams(lam=rho, mu=1.0)
         t = params.t_for_p(p)
         f = Observable.from_table(table)
-        logs, _ = _log_semigroup_profile(params, t, f, n_hi, 1e-12)
+        logs, _ = _log_semigroup_profile(params, t, f, n_lo, n_hi, 1e-12)
         scalar = np.array(
-            [log_semigroup_apply(params, t, f, n) for n in range(n_hi + 1)]
+            [log_semigroup_apply(params, t, f, n) for n in range(n_lo, n_hi + 1)]
         )
         tol = 1e-14 + 8.0 * np.spacing(np.abs(scalar))
         assert np.all(np.abs(logs - scalar) <= tol)
@@ -245,7 +249,7 @@ class TestVerifyTheorem:
         # not a block reaching out to it
         t = self.PARAMS.t_for_p(0.5)
         f = Observable.indicator([0, 5000])
-        logs, _ = _log_semigroup_profile(self.PARAMS, t, f, 6, 1e-12)
+        logs, _ = _log_semigroup_profile(self.PARAMS, t, f, 0, 6, 1e-12)
         scalar = np.array([log_semigroup_apply(self.PARAMS, t, f, n) for n in range(7)])
         assert np.all(np.abs(logs - scalar) <= 1e-14 + 8.0 * np.spacing(np.abs(scalar)))
         report = verify_theorem(self.PARAMS, t, f, 5)

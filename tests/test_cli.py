@@ -10,12 +10,23 @@ from mminf.cli import RunConfig, main, parse_args, parse_observable
 from mminf.kernel import QueueParams, kernel_entry
 from mminf.oracle import uniformized_kernel
 
-# SHA-256 of the default CSVs; a change is deliberate and recorded in CHANGES.md
+# exit code and SHA-256 of each default CSV; a change of digest is deliberate
+# and recorded in CHANGES.md
 GOLDEN = {
-    "sweep": "fb4c2d42f3cc64ef8afdad2a63057dd24c85d072b23879cc97297baf444e23d4",
-    "verify-generalized":
-        "7137a0afabc5750900f61361a26837898b40b2102e5ec6f7cfd916375a5e9b36",
+    "sweep": (
+        1, "7e20c7eca7fcec06fb3fd36498dcfdfbf97005721b9b0de03bde9a3a543d3d3d"),
+    "verify-generalized": (
+        1, "769888eb93b391bd958dfc6d046cf2f1d9f82eee7e8949ab47e92e4bde3c5e12"),
+    "verify-theorem": (
+        0, "86c293d9b75666b24ae0008243d17684014c3c323bb4a87fb7b2e90617f4980c"),
+    "oracle-check": (
+        0, "91583b9f74aceaa63a6af1af6b4e7966d3c4ee52b5f5d6ceb3b4bf0e9cc13ec8"),
+    "sharpness": (
+        0, "2dc123ec857169233a62ef4cd8002c99695230efbbb9e1accd62955d63bfe8ba"),
 }
+
+COMMANDS = ["verify-lemma", "verify-theorem", "verify-generalized",
+            "oracle-check", "sharpness", "sweep"]
 
 
 def run_cli(args):
@@ -42,10 +53,13 @@ class TestParseArgs:
             parse_args([])
         assert exc.value.code == 2
 
-    def test_bad_deficit(self):
-        with pytest.raises(SystemExit) as exc:
-            parse_args(["verify-lemma", "--deficit", "2.0"])
-        assert exc.value.code == 2
+    def test_deficit_refused(self):
+        # table observables, the only kind the CLI builds, never read a
+        # deficit, so no command takes one
+        for command in COMMANDS:
+            with pytest.raises(SystemExit) as exc:
+                parse_args([command, "--deficit", "1e-12"])
+            assert exc.value.code == 2
 
     def test_bad_observable_spec(self):
         with pytest.raises(SystemExit) as exc:
@@ -82,6 +96,10 @@ class TestBadInput:
             ["sharpness", "--n", "0"],
             ["oracle-check", "--N", "5"],
             ["oracle-check", "--kmax", "30", "--N", "25"],
+            ["sharpness", "--rho", "1e200", "--mu", "1e200"],
+            ["sweep", "--rho", "1e-200", "--mu", "1e-200"],
+            ["oracle-check", "--mu", "1e308"],
+            ["verify-generalized", "--a", "0", "--b", "0"],
         ],
         ids=" ".join,
     )
@@ -217,8 +235,9 @@ class TestGolden:
     @pytest.mark.parametrize("command", sorted(GOLDEN))
     def test_default_csv_digest(self, command, tmp_path):
         out = tmp_path / f"{command}.csv"
-        assert main([command, "--out", str(out)]) == 1
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[command]
+        code, digest = GOLDEN[command]
+        assert main([command, "--out", str(out)]) == code
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_oracle_rows_match_scalar_route(tmp_path):
