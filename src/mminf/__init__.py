@@ -17,16 +17,13 @@ from .bounds import (
     verify_theorem,
 )
 from .distributions import (
-    BinomialLaw,
     CertifiedPmf,
-    PoissonLaw,
     binomial_log_pmf,
     convolve,
     poisson_log_pmf,
     poisson_window,
 )
 from .kernel import (
-    KernelRow,
     Observable,
     QueueParams,
     SemigroupValue,

@@ -3,31 +3,32 @@
 All comparisons happen in the log domain with an explicit additive error
 budget: a case passes when its margin (left side minus right side of the
 inequality) is at least minus the budget. Entries whose certified mass falls
-below MASS_FLOOR are reported as untestable rather than pass, because ratios
-of sub-denormal masses carry no information.
+below kernel.MASS_FLOOR are reported as untestable rather than pass, because
+ratios of sub-denormal masses carry no information.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import count
 
 import numpy as np
 
-from .distributions import LOG_ZERO, convolution_log_matrix, logsumexp_axis0
+from .distributions import LOG_ZERO, convolution_log_matrix
 from .kernel import (
     DEFAULT_DEFICIT,
+    LOG_MASS_FLOOR,
     Observable,
     QueueParams,
-    kernel_log_column,
+    _entry_log_error,
+    _log_semigroup_profile,
     kernel_log_matrix,
-    log_semigroup_apply,
 )
-
-MASS_FLOOR = 1e-280
-LOG_MASS_FLOOR = math.log(MASS_FLOOR)
+# not called here, but benchmarks/tracing.py wraps
+# mminf.bounds.log_semigroup_apply by name, and without it every traced
+# benchmark round fails to start
+from .kernel import log_semigroup_apply  # noqa: F401
 
 LOG_TWELVE = math.log(12.0)
 
@@ -102,12 +103,6 @@ def log_laplacian(h_minus: float, h_mid: float, h_plus: float) -> float:
     if h_minus <= 0 or h_mid <= 0 or h_plus <= 0:
         raise ValueError("log_laplacian requires strictly positive values")
     return math.log(h_plus) + math.log(h_minus) - 2.0 * math.log(h_mid)
-
-
-def _entry_log_error(log_mass, n_terms):
-    # conservative absolute-error bound for a log-domain mass assembled from
-    # n_terms log-sum-exp terms of log/lgamma evaluations; floats or arrays
-    return 2e-14 * (abs(log_mass) + n_terms + 10.0)
 
 
 @dataclass(frozen=True)
@@ -210,55 +205,12 @@ def verify_generalized(
     """Check H_k(n)^2 <= M * H_k(n+1) * H_k(n-1) for H_k = B(k,a) * Poisson(b)."""
     if a == 0.0 and b == 0.0:
         raise ValueError("degenerate input: a = 0 and b = 0")
-    g = np.stack(
-        [convolution_log_matrix(k, a, b, n_max + 1) for k in range(k_max + 1)]
-    )
+    g = convolution_log_matrix(a, b, k_max, n_max + 1)
     return VerificationReport(
         description=f"generalized semi-ultra-log-convexity a={a} b={b} "
         f"k<={k_max} n<={n_max}",
         cases=_verify_rows(g, lambda n: math.log(remark_M(a, b, n)), (a, b)),
     )
-
-
-@lru_cache(maxsize=256)
-def _kernel_column(
-    lam: float, mu: float, t: float, k_min: int, k_max: int, n: int
-) -> np.ndarray:
-    # G[k, n] for k_min <= k <= k_max, shared read-only by every table
-    # observable of one (rho, p) cell whose support holds n: its sharp and its
-    # 1/12 reports
-    column = kernel_log_column(QueueParams(lam, mu), t, k_max, n, k_min)
-    column.flags.writeable = False
-    return column
-
-
-def _log_semigroup_profile(
-    params: QueueParams, t: float, f: Observable, n_lo: int, n_hi: int, deficit: float
-) -> tuple[np.ndarray, float]:
-    """log A_t f(n) for n = n_lo..n_hi, and an error bound valid for each value."""
-    if f.is_table:
-        support = f.support
-        g = np.stack(
-            [_kernel_column(params.lam, params.mu, t, n_lo, n_hi, m) for m in support]
-        )
-        log_f = np.array([math.log(f.table[m]) for m in support])
-        # terms[i, n] = log f(m_i) + G[n, m_i], summed over the support
-        logs = logsumexp_axis0(g + log_f[:, None])
-        finite = np.abs(logs[logs > LOG_ZERO])
-        per_value_err = (
-            2e-14 * (finite.max() + len(support) + 10.0) if finite.size else 0.0
-        )
-        return logs, float(per_value_err)
-    logs = np.array(
-        [log_semigroup_apply(params, t, f, n, deficit) for n in range(n_lo, n_hi + 1)]
-    )
-    n_terms = 64
-    per_value_err = 0.0
-    for lv in logs:
-        if lv > LOG_ZERO:
-            trunc = f.sup * deficit / math.exp(max(lv, LOG_MASS_FLOOR))
-            per_value_err = max(per_value_err, _entry_log_error(lv, n_terms) + trunc)
-    return logs, per_value_err
 
 
 def verify_theorem(

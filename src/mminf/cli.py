@@ -178,12 +178,14 @@ def _validate(command, opts, parser):
 
     require("p", lambda v: 0.0 < v < 1.0, "in (0,1)")
     require("a", lambda v: 0.0 <= v <= 1.0, "in [0,1]")
-    require("b", lambda v: v >= 0.0, "finite and non-negative")
+    for name in ("b", "delta"):
+        require(name, lambda v: v >= 0.0, "finite and non-negative")
     for name in ("rho", "mu", "t", "tol"):
         require(name, lambda v: v > 0.0, "finite and positive")
     for name in ("kmax", "nmax"):
         require(name, lambda v: v >= 0, "non-negative")
-    require("n", lambda v: v >= 1, ">= 1")
+    for name in ("n", "jobs"):
+        require(name, lambda v: v >= 1, ">= 1")
     if "mu" in opts:  # each such command runs at arrival rate rho * mu
         mu = opts["mu"]
         what = f"such that rho * {mu} is finite and positive"
@@ -286,6 +288,7 @@ def _grid(command, o):
 
 
 def _run_cells(cells, worker, jobs):
+    jobs = min(jobs, len(cells))  # the pool starts every worker up front
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             chunks = list(pool.map(worker, cells))

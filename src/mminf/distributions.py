@@ -101,42 +101,6 @@ def poisson_window(rate: float, deficit: float) -> tuple[int, int]:
 
 
 @dataclass(frozen=True)
-class PoissonLaw:
-    """Poisson law on the non-negative integers; rate 0 is the Dirac mass at 0."""
-
-    rate: float
-
-    def __post_init__(self):
-        if self.rate < 0:
-            raise ValueError(f"Poisson rate must be non-negative, got {self.rate}")
-
-    def log_pmf(self, n: int) -> float:
-        return poisson_log_pmf(self.rate, n)
-
-    def window(self, deficit: float) -> tuple[int, int]:
-        return poisson_window(self.rate, deficit)
-
-
-@dataclass(frozen=True)
-class BinomialLaw:
-    """Binomial law with support {0, ..., trials}."""
-
-    trials: int
-    success_prob: float
-
-    def __post_init__(self):
-        if self.trials < 0:
-            raise ValueError(f"trial count must be non-negative, got {self.trials}")
-        if not 0.0 <= self.success_prob <= 1.0:
-            raise ValueError(
-                f"success probability must lie in [0,1], got {self.success_prob}"
-            )
-
-    def log_pmf(self, j: int) -> float:
-        return binomial_log_pmf(self.trials, self.success_prob, j)
-
-
-@dataclass(frozen=True)
 class CertifiedPmf:
     """A pmf on a finite window of the integers, stored as log-masses.
 
@@ -180,24 +144,31 @@ class CertifiedPmf:
         return float(math.exp(logsumexp(finite)))
 
 
-def convolution_log_matrix(k: int, a: float, b: float, n_hi: int) -> np.ndarray:
-    """log-masses of B(k, a) * Poisson(b) at 0..n_hi, each via log-sum-exp
-    over the at most k+1 binomial terms."""
-    binom = np.array([binomial_log_pmf(k, a, j) for j in range(k + 1)])
+def convolution_log_matrix(
+    a: float, b: float, k_max: int, n_hi: int, k_min: int = 0
+) -> np.ndarray:
+    """log-masses of B(k, a) * Poisson(b) at 0..n_hi, one row for each
+    k_min <= k <= k_max, each entry via log-sum-exp over the at most k+1
+    binomial terms; the Poisson factor is evaluated once for all rows."""
+    if k_min < 0:
+        raise ValueError(f"trial count must be non-negative, got {k_min}")
     pois = np.array([poisson_log_pmf(b, m) for m in range(n_hi + 1)])
-    terms = np.full((k + 1, n_hi + 1), LOG_ZERO)
-    for j in range(min(k, n_hi) + 1):
-        terms[j, j:] = binom[j] + pois[: n_hi + 1 - j]
-    return logsumexp_axis0(terms)
+    rows = np.empty((k_max + 1 - k_min, n_hi + 1))
+    for k in range(k_min, k_max + 1):
+        binom = np.array([binomial_log_pmf(k, a, j) for j in range(k + 1)])
+        terms = np.full((k + 1, n_hi + 1), LOG_ZERO)
+        for j in range(min(k, n_hi) + 1):
+            terms[j, j:] = binom[j] + pois[: n_hi + 1 - j]
+        rows[k - k_min] = logsumexp_axis0(terms)
+    return rows
 
 
-def convolve(fin: BinomialLaw, inf: PoissonLaw, deficit: float) -> CertifiedPmf:
+def convolve(k: int, a: float, b: float, deficit: float) -> CertifiedPmf:
     """Certified windowed pmf of the convolution B(k, a) * Poisson(b).
 
     The binomial factor has bounded support, so the tail of the convolution
     beyond k + N is controlled by the certified Poisson tail beyond N.
     """
-    _, n_pois = poisson_window(inf.rate, deficit)
-    n_hi = fin.trials + n_pois
-    log_masses = convolution_log_matrix(fin.trials, fin.success_prob, inf.rate, n_hi)
+    _, n_pois = poisson_window(b, deficit)
+    log_masses = convolution_log_matrix(a, b, k, k + n_pois, k_min=k)[0]
     return CertifiedPmf(offset=0, log_masses=log_masses, tail_deficit=deficit)

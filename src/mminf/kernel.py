@@ -16,9 +16,7 @@ import numpy as np
 
 from .distributions import (
     LOG_ZERO,
-    BinomialLaw,
     CertifiedPmf,
-    PoissonLaw,
     binomial_log_pmf,
     convolution_log_matrix,
     convolve,
@@ -28,6 +26,11 @@ from .distributions import (
 )
 
 DEFAULT_DEFICIT = 1e-12
+
+# ratios of masses below this floor carry no information: the inequality
+# checks report such points untestable rather than pass
+MASS_FLOOR = 1e-280
+LOG_MASS_FLOOR = math.log(MASS_FLOOR)
 
 
 @dataclass(frozen=True)
@@ -66,16 +69,6 @@ class QueueParams:
         return -math.log(p) / self.mu
 
 
-@dataclass(frozen=True)
-class KernelRow:
-    """Law of the state at time t started from k, as a certified windowed pmf."""
-
-    k: int
-    t: float
-    pmf: CertifiedPmf
-    degenerate: bool = False
-
-
 class Observable:
     """A non-negative function on the non-negative integers.
 
@@ -91,6 +84,8 @@ class Observable:
             table = {int(n): float(v) for n, v in table.items()}
             if any(n < 0 for n in table):
                 raise ValueError("table keys must be non-negative integers")
+            if not all(math.isfinite(v) for v in table.values()):
+                raise ValueError("observable values must be finite")
             if any(v < 0 for v in table.values()):
                 raise ValueError("observable values must be non-negative")
             if all(v == 0 for v in table.values()):
@@ -99,12 +94,14 @@ class Observable:
             self.func = None
             self.sup = max(table.values())
         else:
-            if sup is None or not sup > 0:
-                raise ValueError("callable observables require a positive sup bound")
+            if sup is None or not (math.isfinite(sup) and sup > 0):
+                raise ValueError(
+                    "callable observables require a finite positive sup bound"
+                )
             for n in range(0, 201, 7):
                 v = func(n)
-                if v < 0:
-                    raise ValueError(f"observable is negative at {n}")
+                if not v >= 0:  # NaN too
+                    raise ValueError(f"observable is negative or NaN at {n}: {v}")
                 if v > sup:
                     raise ValueError(f"declared sup {sup} violated at {n}: {v}")
             self.table = None
@@ -180,9 +177,7 @@ def kernel_log_matrix(params: QueueParams, t: float, k_max: int, n_max: int) -> 
         raise ValueError(f"time must be positive, got {t}")
     p = params.p(t)
     b = params.rho * params.q(t)
-    return np.stack(
-        [convolution_log_matrix(k, p, b, n_max) for k in range(k_max + 1)]
-    )
+    return convolution_log_matrix(p, b, k_max, n_max)
 
 
 def kernel_log_column(
@@ -210,23 +205,19 @@ def kernel_log_column(
 
 def mehler_row(
     params: QueueParams, t: float, k: int, deficit: float = DEFAULT_DEFICIT
-) -> KernelRow:
+) -> CertifiedPmf:
     """Full certified row of the time-t kernel started from k.
 
-    At t = 0 the row degenerates to the Dirac mass at k and is flagged; the
-    downstream inequality checks are vacuous there.
+    At t = 0 the row degenerates to the Dirac mass at k; the downstream
+    inequality checks are vacuous there.
     """
     if t < 0:
         raise ValueError(f"time must be non-negative, got {t}")
     if k < 0:
         raise ValueError(f"initial state must be non-negative, got {k}")
     if t == 0:
-        pmf = CertifiedPmf(offset=k, log_masses=np.array([0.0]), tail_deficit=0.0)
-        return KernelRow(k=k, t=t, pmf=pmf, degenerate=True)
-    pmf = convolve(
-        BinomialLaw(k, params.p(t)), PoissonLaw(params.rho * params.q(t)), deficit
-    )
-    return KernelRow(k=k, t=t, pmf=pmf)
+        return CertifiedPmf(offset=k, log_masses=np.array([0.0]), tail_deficit=0.0)
+    return convolve(k, params.p(t), params.rho * params.q(t), deficit)
 
 
 def semigroup_apply(
@@ -264,18 +255,68 @@ def log_semigroup_apply(
     far-from-support evaluations stay meaningful."""
     if t <= 0:
         raise ValueError(f"time must be positive, got {t}")
+    if k < 0:
+        raise ValueError(f"initial state must be non-negative, got {k}")
     if f.is_table:
-        terms = [
-            math.log(f.table[m]) + kernel_entry(params, t, k, m) for m in f.support
-        ]
-        return logsumexp(terms)
-    row = mehler_row(params, t, k, deficit)
+        logs, _ = _log_semigroup_profile(params, t, f, k, k, deficit)
+        return float(logs[0])
+    pmf = mehler_row(params, t, k, deficit)
     terms = []
-    for n in range(row.pmf.offset, row.pmf.support_end + 1):
+    for n in range(pmf.offset, pmf.support_end + 1):
         v = f(n)
         if v > 0:
-            terms.append(math.log(v) + row.pmf.log_mass(n))
+            terms.append(math.log(v) + pmf.log_mass(n))
     return logsumexp(terms) if terms else LOG_ZERO
+
+
+def _entry_log_error(log_mass, n_terms):
+    # conservative absolute-error bound for a log-domain mass assembled from
+    # n_terms log-sum-exp terms of log/lgamma evaluations; floats or arrays
+    return 2e-14 * (abs(log_mass) + n_terms + 10.0)
+
+
+@lru_cache(maxsize=256)
+def _kernel_column(
+    lam: float, mu: float, t: float, k_min: int, k_max: int, n: int
+) -> np.ndarray:
+    # G[k, n] for k_min <= k <= k_max, shared read-only by every table
+    # observable of one (rho, p) cell whose support holds n: its sharp and its
+    # 1/12 reports
+    column = kernel_log_column(QueueParams(lam, mu), t, k_max, n, k_min)
+    column.flags.writeable = False
+    return column
+
+
+def _log_semigroup_profile(
+    params: QueueParams, t: float, f: Observable, n_lo: int, n_hi: int, deficit: float
+) -> tuple[np.ndarray, float]:
+    """log A_t f(n) for n = n_lo..n_hi, and an error bound valid for each value.
+
+    A table is summed over its support from kernel columns, in one row-wise
+    log-sum-exp; a callable is summed over the certified row of each n."""
+    if f.is_table:
+        support = f.support
+        g = np.stack(
+            [_kernel_column(params.lam, params.mu, t, n_lo, n_hi, m) for m in support]
+        )
+        log_f = np.array([math.log(f.table[m]) for m in support])
+        # terms[i, n] = log f(m_i) + G[n, m_i], summed over the support
+        logs = logsumexp_axis0(g + log_f[:, None])
+        finite = np.abs(logs[logs > LOG_ZERO])
+        per_value_err = (
+            _entry_log_error(finite.max(), len(support)) if finite.size else 0.0
+        )
+        return logs, float(per_value_err)
+    logs = np.array(
+        [log_semigroup_apply(params, t, f, n, deficit) for n in range(n_lo, n_hi + 1)]
+    )
+    n_terms = 64
+    per_value_err = 0.0
+    for lv in logs:
+        if lv > LOG_ZERO:
+            trunc = f.sup * deficit / math.exp(max(lv, LOG_MASS_FLOOR))
+            per_value_err = max(per_value_err, _entry_log_error(lv, n_terms) + trunc)
+    return logs, per_value_err
 
 
 def generator_apply(params: QueueParams, f: Observable, n: int) -> float:

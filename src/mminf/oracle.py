@@ -206,18 +206,8 @@ def exact_lemma_check(
         raise ValueError(f"p must lie in [0,1), got {p}")
     if rho <= 0:
         raise ValueError(f"rho must be positive, got {rho}")
-    b = rho * (1 - p)
-    d2 = (rho * (1 - p) ** 2 + p) ** 2
-    p2 = p * p
-    failures = []
-    for k in range(k_max + 1):
-        g = exact_rational_convolution(k, p, b, n_max + 1)
-        for n in range(1, n_max + 1):
-            lhs = n * (d2 - p2) * g[n] ** 2
-            rhs = (n + 1) * d2 * g[n + 1] * g[n - 1]
-            if lhs > rhs:
-                failures.append((k, n))
-    return failures
+    # at a = p, b = rho(1-p) the generalized D = (1-a) b + a is this D
+    return exact_generalized_check(p, rho * (1 - p), k_max, n_max)
 
 
 def exact_generalized_check(

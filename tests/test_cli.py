@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+import mminf.cli
 from mminf.cli import RunConfig, main, parse_args, parse_observable
 from mminf.kernel import QueueParams, kernel_entry
 from mminf.oracle import uniformized_kernel
@@ -23,6 +24,8 @@ GOLDEN = {
         0, "91583b9f74aceaa63a6af1af6b4e7966d3c4ee52b5f5d6ceb3b4bf0e9cc13ec8"),
     "sharpness": (
         0, "2dc123ec857169233a62ef4cd8002c99695230efbbb9e1accd62955d63bfe8ba"),
+    "verify-lemma": (
+        1, "216094236984237906374dac204a64a611c103f9124ee40d059a3ed36b6bd3f2"),
 }
 
 COMMANDS = ["verify-lemma", "verify-theorem", "verify-generalized",
@@ -100,6 +103,12 @@ class TestBadInput:
             ["sweep", "--rho", "1e-200", "--mu", "1e-200"],
             ["oracle-check", "--mu", "1e308"],
             ["verify-generalized", "--a", "0", "--b", "0"],
+            ["verify-theorem", "--f", "table:0=nan"],
+            ["verify-theorem", "--f", "table:0=inf"],
+            ["sharpness", "--delta", "nan"],
+            ["sharpness", "--delta", "-1"],
+            ["sweep", "--jobs", "0"],
+            ["sweep", "--jobs", "-4"],
         ],
         ids=" ".join,
     )
@@ -215,6 +224,33 @@ class TestRun:
         a, b = tmp_path / "serial.csv", tmp_path / "par.csv"
         run_cli(base + ["--out", str(a)])
         run_cli(base + ["--jobs", "2", "--out", str(b)])
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_pool_never_outgrows_the_grid(self, tmp_path, monkeypatch):
+        # a pool starts all its workers at once; record its size, start none
+        sizes = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, cells):
+                return map(fn, cells)
+
+        monkeypatch.setattr(mminf.cli, "ProcessPoolExecutor", Pool)
+        base = ["verify-lemma", "--rho", "1", "--p", "0.5", "--p", "0.7",
+                "--kmax", "2", "--nmax", "3"]
+        a, b = tmp_path / "serial.csv", tmp_path / "pool.csv"
+        assert run_cli(base + ["--out", str(a)]) == 0
+        assert sizes == []
+        assert run_cli(base + ["--jobs", "5000", "--out", str(b)]) == 0
+        assert sizes == [2]
         assert a.read_bytes() == b.read_bytes()
 
     def test_out_dir_env_override(self, tmp_path, monkeypatch):

@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 
 from mminf.distributions import (
     LOG_ZERO,
-    BinomialLaw,
-    PoissonLaw,
     binomial_log_pmf,
     convolution_log_matrix,
     convolve,
@@ -122,30 +120,49 @@ class TestPoissonWindow:
 
 class TestConvolve:
     def test_binomial_zero_trials_is_poisson(self):
-        pmf = convolve(BinomialLaw(0, 0.3), PoissonLaw(2.0), 1e-12)
+        pmf = convolve(0, 0.3, 2.0, 1e-12)
         for n in range(len(pmf)):
             assert pmf.log_mass(n) == pytest.approx(
                 poisson_log_pmf(2.0, n), abs=1e-14
             )
 
     def test_poisson_dirac_side(self):
-        pmf = convolve(BinomialLaw(1, 0.3), PoissonLaw(0.0), 1e-12)
+        pmf = convolve(1, 0.3, 0.0, 1e-12)
         assert pmf.mass(0) == pytest.approx(0.7, rel=1e-15)
         assert pmf.mass(1) == pytest.approx(0.3, rel=1e-15)
 
     def test_two_trials_fair_coin_at_zero(self):
-        pmf = convolve(BinomialLaw(2, 0.5), PoissonLaw(1.0), 1e-12)
+        pmf = convolve(2, 0.5, 1.0, 1e-12)
         assert pmf.mass(0) == pytest.approx(0.25 * math.exp(-1.0), rel=1e-13)
 
     def test_windowed_mass_brackets_one(self):
         for k, a, b in [(0, 0.0, 1.0), (3, 0.4, 2.5), (10, 0.9, 0.3)]:
-            pmf = convolve(BinomialLaw(k, a), PoissonLaw(b), 1e-10)
+            pmf = convolve(k, a, b, 1e-10)
             m = pmf.windowed_mass()
             assert 1.0 - 1e-10 <= m <= 1.0 + len(pmf) * 2.3e-16
 
     def test_deficit_recorded(self):
-        pmf = convolve(BinomialLaw(2, 0.5), PoissonLaw(1.0), 1e-9)
+        pmf = convolve(2, 0.5, 1.0, 1e-9)
         assert pmf.tail_deficit == 1e-9
+
+
+@given(
+    a=st.floats(min_value=0.0, max_value=1.0),
+    b=st.floats(min_value=0.0, max_value=40.0),
+    k_max=st.integers(0, 40),
+    n_hi=st.integers(0, 70),
+    k=st.integers(0, 40),
+)
+@settings(max_examples=100, deadline=None)
+def test_block_row_equals_single_row(a, b, k_max, n_hi, k):
+    # every row of a block is built alone from the shared Poisson vector, so a
+    # row taken on its own matches it bit for bit
+    k = min(k, k_max)
+    block = convolution_log_matrix(a, b, k_max, n_hi)
+    assert block.shape == (k_max + 1, n_hi + 1)
+    single = convolution_log_matrix(a, b, k, n_hi, k_min=k)
+    assert single.shape == (1, n_hi + 1)
+    assert np.array_equal(block[k], single[0])
 
 
 class TestAgainstRationalOracle:
@@ -160,7 +177,7 @@ class TestAgainstRationalOracle:
     def test_log_domain_matches_exact_rationals(self, k, b):
         for a in self.GRID_A:
             n_hi = k + 25
-            logs = convolution_log_matrix(k, a, b, n_hi)
+            logs = convolution_log_matrix(a, b, k, n_hi, k_min=k)[0]
             exact = exact_rational_convolution(k, Fraction(a), Fraction(b), n_hi)
             for n in range(n_hi + 1):
                 if exact[n] == 0:
@@ -178,8 +195,8 @@ def test_logsumexp_all_neg_inf():
 
 def test_law_validation():
     with pytest.raises(ValueError):
-        PoissonLaw(-0.5)
+        convolve(2, 0.5, -0.5, 1e-12)
     with pytest.raises(ValueError):
-        BinomialLaw(-1, 0.5)
+        convolve(-1, 0.5, 1.0, 1e-12)
     with pytest.raises(ValueError):
-        BinomialLaw(2, 1.5)
+        convolve(2, 1.5, 1.0, 1e-12)

@@ -105,22 +105,22 @@ class TestMehlerRow:
         t = 0.7
         row = mehler_row(PARAMS, t, 0, 1e-12)
         b = PARAMS.rho * PARAMS.q(t)
-        for n in range(row.pmf.support_end + 1):
-            assert row.pmf.log_mass(n) == pytest.approx(
+        for n in range(row.support_end + 1):
+            assert row.log_mass(n) == pytest.approx(
                 poisson_log_pmf(b, n), abs=1e-14
             )
 
     def test_row_stochasticity(self):
         params = QueueParams(lam=2.0, mu=1.0)
         row = mehler_row(params, math.log(2.0), 3, 1e-12)
-        m = row.pmf.windowed_mass()
-        assert 1.0 - 1e-12 <= m <= 1.0 + len(row.pmf) * 2.3e-16
+        m = row.windowed_mass()
+        assert 1.0 - 1e-12 <= m <= 1.0 + len(row) * 2.3e-16
 
     def test_time_zero_degenerate(self):
         row = mehler_row(PARAMS, 0.0, 5)
-        assert row.degenerate
-        assert row.pmf.mass(5) == 1.0
-        assert row.pmf.tail_deficit == 0.0
+        assert (row.offset, len(row)) == (5, 1)
+        assert row.mass(5) == 1.0
+        assert row.tail_deficit == 0.0
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
@@ -128,7 +128,7 @@ class TestMehlerRow:
 
     def test_positive_masses_for_positive_time(self):
         row = mehler_row(PARAMS, 1.0, 4, 1e-10)
-        assert np.all(np.isfinite(row.pmf.log_masses))
+        assert np.all(np.isfinite(row.log_masses))
 
 
 class TestSemigroup:
@@ -191,6 +191,15 @@ class TestObservable:
     def test_callable_requires_sup(self):
         with pytest.raises(ValueError):
             Observable.from_callable(lambda n: 1.0, sup=None)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Observable.from_table({0: 1.0, 2: bad})
+        with pytest.raises(ValueError, match="finite"):
+            Observable.from_callable(lambda n: 1.0, sup=bad)
+        with pytest.raises(ValueError):
+            Observable.from_callable(lambda n: bad, sup=1.0)
 
     def test_callable_sup_spot_check(self):
         with pytest.raises(ValueError):

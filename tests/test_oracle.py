@@ -56,7 +56,7 @@ class TestUniformizedKernel:
         mat = uniformized_kernel(PARAMS, t, 60, 1e-10)
         row = mehler_row(PARAMS, t, 3, 1e-12)
         for n in range(16):
-            assert mat[3, n] == pytest.approx(row.pmf.mass(n), abs=1e-9)
+            assert mat[3, n] == pytest.approx(row.mass(n), abs=1e-9)
 
     def test_boundary_leak_stability(self):
         # adding 20 states must not move any interior entry by more than tol
