@@ -37,7 +37,6 @@ from .oracle import (
     SimulationConfig,
     exact_lemma_check,
     exact_rational_convolution,
-    gillespie_sample,
     gillespie_terminal_states,
     uniformized_kernel,
 )

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import count
+from functools import cached_property
+from itertools import count, repeat
 
 import numpy as np
 
@@ -119,50 +120,60 @@ class CaseResult:
 
 @dataclass
 class VerificationReport:
-    """Per-case inequality margins over a grid, with verdict and worst case."""
+    """One cell's inequality margins at lattice points n = 1..n_max, as arrays.
 
-    description: str
-    cases: list
+    Arrays of shape (rows, n_max) hold rows k = 0, 1, ... whose cases are
+    keyed prefix + (k, n); arrays of shape (n_max,) hold one unkeyed row whose
+    cases are keyed prefix + (n,). budgets broadcasts against margins: the
+    semigroup report holds one float for all its cases. A case passes when it
+    is testable and its margin is at least minus its budget."""
 
-    @property
-    def testable_cases(self) -> list:
-        return [c for c in self.cases if c.testable]
+    prefix: tuple
+    margins: np.ndarray
+    budgets: np.ndarray | float
+    testable: np.ndarray
 
-    @property
-    def untestable_cases(self) -> list:
-        return [c for c in self.cases if not c.testable]
+    def rows(self):
+        """(key prefix, margins, budgets, testable) of each row, as Python
+        values in key order; a float budget is one object for every case."""
+        margins, testable = self.margins.tolist(), self.testable.tolist()
+        if self.margins.ndim == 1:
+            return [(self.prefix, margins, repeat(self.budgets), testable)]
+        keys = [self.prefix + (k,) for k in range(len(margins))]
+        return zip(keys, margins, self.budgets.tolist(), testable)
+
+    @cached_property
+    def cases(self) -> list:
+        """Every case as a CaseResult, in key order; built on first read."""
+        return [
+            CaseResult(key + (n,), margin, budget)
+            if ok
+            else CaseResult(key + (n,), math.nan, 0.0, testable=False)
+            for key, margins, budgets, testable in self.rows()
+            for n, margin, budget, ok in zip(count(1), margins, budgets, testable)
+        ]
 
     @property
     def verdict(self) -> bool:
-        return all(c.passed for c in self.testable_cases)
+        return bool(np.all((self.margins >= -self.budgets) | ~self.testable))
 
     @property
     def worst_case(self):
-        cases = self.testable_cases
-        if not cases:
+        """The first testable case of least margin, or None."""
+        where = np.flatnonzero(self.testable)
+        if where.size == 0:
             return None
-        return min(cases, key=lambda c: c.margin)
+        return self.cases[where[np.argmin(self.margins.ravel()[where])]]
 
     @property
     def error_budget(self) -> float:
-        cases = self.testable_cases
-        return max((c.budget for c in cases), default=0.0)
+        budgets = np.broadcast_to(self.budgets, self.margins.shape)
+        return float(budgets[self.testable].max(initial=0.0))
 
 
-def _cases(key_prefix: tuple, margins, budgets, testable) -> list:
-    """The cases of lattice points n = 1, 2, ... of one row, keyed
-    key_prefix + (n,); the only place a CaseResult is built."""
-    return [
-        CaseResult(key_prefix + (n,), margin, budget)
-        if ok
-        else CaseResult(key_prefix + (n,), math.nan, 0.0, testable=False)
-        for n, margin, budget, ok in zip(count(1), margins, budgets, testable)
-    ]
-
-
-def _verify_rows(g: np.ndarray, log_const, key_prefix: tuple) -> list:
-    """Cases of log_const(n) + g[k, n+1] + g[k, n-1] - 2 g[k, n] >= 0 for every
-    row k of the block g of log masses and 1 <= n <= g.shape[1] - 2."""
+def _verify_rows(g: np.ndarray, log_const, prefix: tuple) -> VerificationReport:
+    """The cases of log_const(n) + g[k, n+1] + g[k, n-1] - 2 g[k, n] >= 0 for
+    every row k of the block g of log masses and 1 <= n <= g.shape[1] - 2."""
     n_max = g.shape[1] - 2
     lc = np.array([log_const(n) for n in range(1, n_max + 1)])
     lm, l0, lp = g[:, :-2], g[:, 1:-1], g[:, 2:]
@@ -177,11 +188,7 @@ def _verify_rows(g: np.ndarray, log_const, key_prefix: tuple) -> list:
         + 2.0 * _entry_log_error(l0, n_terms)
         + 1e-14
     )
-    cases = []
-    rows = zip(margins.tolist(), budgets.tolist(), testable.tolist())
-    for k, (row_margins, row_budgets, row_testable) in enumerate(rows):
-        cases.extend(_cases(key_prefix + (k,), row_margins, row_budgets, row_testable))
-    return cases
+    return VerificationReport(prefix, margins, budgets, testable)
 
 
 def verify_kernel_lemma(
@@ -192,11 +199,7 @@ def verify_kernel_lemma(
         raise ValueError(f"time must be positive, got {t}")
     rho, p = params.rho, params.p(t)
     g = kernel_log_matrix(params, t, k_max, n_max + 1)
-    return VerificationReport(
-        description=f"kernel semi-ultra-log-convexity rho={rho} p={p} "
-        f"k<={k_max} n<={n_max}",
-        cases=_verify_rows(g, lambda n: math.log(lemma_K(rho, p, n)), (rho, p)),
-    )
+    return _verify_rows(g, lambda n: math.log(lemma_K(rho, p, n)), (rho, p))
 
 
 def verify_generalized(
@@ -206,11 +209,7 @@ def verify_generalized(
     if a == 0.0 and b == 0.0:
         raise ValueError("degenerate input: a = 0 and b = 0")
     g = convolution_log_matrix(a, b, k_max, n_max + 1)
-    return VerificationReport(
-        description=f"generalized semi-ultra-log-convexity a={a} b={b} "
-        f"k<={k_max} n<={n_max}",
-        cases=_verify_rows(g, lambda n: math.log(remark_M(a, b, n)), (a, b)),
-    )
+    return _verify_rows(g, lambda n: math.log(remark_M(a, b, n)), (a, b))
 
 
 def verify_theorem(
@@ -235,13 +234,8 @@ def verify_theorem(
     testable = np.minimum(np.minimum(lm, l0), lp) >= floor
     with np.errstate(invalid="ignore"):  # -inf - -inf where untestable
         margins = (lp + lm - 2.0 * l0) - bound
-    # one float object shared by every case, not one per case
     budget = 4.0 * per_value_err + 1e-14
-    return VerificationReport(
-        description=f"semigroup semi-log-convexity ({against}) rho={rho} p={p} "
-        f"n<={n_max}",
-        cases=_cases((rho, p), margins.tolist(), [budget] * n_max, testable.tolist()),
-    )
+    return VerificationReport((rho, p), margins, budget, testable)
 
 
 def sharpness_decay(

@@ -204,16 +204,17 @@ def _validate(command, opts, parser):
 
 
 def _report_rows(report):
+    """CSV rows of a report's cases in key order, formatted from its arrays."""
     rows = []
-    for case in report.cases:
-        ids = [_fmt(x) for x in case.key]
-        if not case.testable:
-            rows.append(ids + ["", "", "untestable"])
-        else:
-            rows.append(
-                ids
-                + [_fmt(case.margin), _fmt(case.budget), "pass" if case.passed else "fail"]
-            )
+    for key, margins, budgets, testable in report.rows():
+        ids = [_fmt(x) for x in key]
+        cases = zip(itertools.count(1), margins, budgets, testable)
+        for n, margin, budget, ok in cases:
+            if ok:
+                verdict = "pass" if margin >= -budget else "fail"
+                rows.append([*ids, str(n), _fmt(margin), _fmt(budget), verdict])
+            else:
+                rows.append([*ids, str(n), "", "", "untestable"])
     return rows
 
 
@@ -255,8 +256,11 @@ def _grid(command, o):
     """The worker of a grid command, its cells (one worker call each) and the
     CSV header of the rows the worker returns."""
 
+    # distinct values, ascending: cells run, and rows come out, in grid order
     def product(*names):
-        return itertools.product(*(_values(command, o, name) for name in names))
+        return itertools.product(
+            *(sorted(set(_values(command, o, name))) for name in names)
+        )
 
     checked = ["margin", "error_budget", "verdict"]
     if command in ("verify-lemma", "sweep"):
@@ -288,18 +292,17 @@ def _grid(command, o):
 
 
 def _run_cells(cells, worker, jobs):
+    """Each cell's rows, in cell order, computed as they are asked for."""
     jobs = min(jobs, len(cells))  # the pool starts every worker up front
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(worker, cells))
+            yield from pool.map(worker, cells)
     else:
-        chunks = [worker(c) for c in cells]
-    return [row for chunk in chunks for row in chunk]
+        yield from map(worker, cells)
 
 
 def run(config: RunConfig) -> int:
     o = config.options
-    jobs = o.get("jobs", 1)
     if config.command == "sharpness":
         t_vals = sorted(_values("sharpness", o, "t"))
         params = QueueParams(lam=o["rho"] * o["mu"], mu=o["mu"])
@@ -313,12 +316,11 @@ def run(config: RunConfig) -> int:
                 verdict = "na"
             rows.append([_fmt(t), _fmt(lhs), _fmt(rhs), verdict])
         header = ["t", "laplacian_abs", "bound_abs", "verdict"]
+        chunks = [rows]
     else:
         worker, cells, header = _grid(config.command, o)
-        rows = _run_cells(cells, worker, jobs)
+        chunks = _run_cells(cells, worker, o["jobs"])
 
-    n_ids = len(header) - 3
-    rows.sort(key=lambda r: tuple(float(x) for x in r[:n_ids]))
     out_path = o.get("out")
     if out_path is None:
         out_dir = os.environ.get("MMINF_OUT_DIR", ".")
@@ -329,19 +331,22 @@ def run(config: RunConfig) -> int:
         if k not in ("out", "jobs") and v is not None
     )
     try:
-        with open(out_path, "w", newline="") as fh:
-            fh.write(f"# mminf {__version__} {config.command} {echo}\n")
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
+        fh = open(out_path, "w", newline="")
     except OSError as exc:
         print(f"mminf: cannot write {out_path}: {exc}", file=sys.stderr)
         return 2
+    verdicts = set()
+    with fh:
+        fh.write(f"# mminf {__version__} {config.command} {echo}\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for rows in chunks:  # a cell's rows are written as soon as it finishes
+            writer.writerows(rows)
+            verdicts.update(row[-1] for row in rows)
 
-    verdicts = [row[-1] for row in rows]
-    if any(v == "fail" for v in verdicts):
+    if "fail" in verdicts:
         return 1
-    if o.get("strict") and any(v == "untestable" for v in verdicts):
+    if o.get("strict") and "untestable" in verdicts:
         return 3
     return 0
 

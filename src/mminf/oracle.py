@@ -91,28 +91,6 @@ def uniformized_kernel(
     return acc
 
 
-def gillespie_sample(
-    params: QueueParams, t: float, k: int, rng: np.random.Generator
-) -> int:
-    """Terminal state of one simulated path over horizon t started from k."""
-    if t < 0:
-        raise ValueError(f"horizon must be non-negative, got {t}")
-    if k < 0:
-        raise ValueError(f"initial state must be non-negative, got {k}")
-    state = k
-    clock = 0.0
-    for _ in range(MAX_EVENTS_PER_PATH):
-        rate = params.lam + state * params.mu
-        clock += rng.exponential(1.0 / rate)
-        if clock > t:
-            return state
-        if rng.random() < params.lam / rate:
-            state += 1
-        else:
-            state -= 1
-    raise RuntimeError(f"event cap {MAX_EVENTS_PER_PATH} exceeded")
-
-
 def gillespie_terminal_states(
     params: QueueParams, k: int, config: SimulationConfig
 ) -> np.ndarray:

@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+import mminf.bounds
 import mminf.cli
 from mminf.cli import RunConfig, main, parse_args, parse_observable
 from mminf.kernel import QueueParams, kernel_entry
@@ -260,11 +261,40 @@ class TestRun:
         assert code == 0
         assert (tmp_path / "verify-lemma.csv").exists()
 
-    def test_unwritable_output(self, tmp_path):
-        code = run_cli(["verify-lemma", "--rho", "1", "--p", "0.5",
-                        "--kmax", "2", "--nmax", "3",
-                        "--out", str(tmp_path / "missing" / "x.csv")])
-        assert code == 2
+    def test_unwritable_output(self, tmp_path, monkeypatch):
+        # the file is opened before the first cell is computed
+        calls = []
+        monkeypatch.setattr(mminf.cli, "_lemma_cell", calls.append)
+        for out in (tmp_path / "missing" / "x.csv", tmp_path):
+            code = run_cli(["verify-lemma", "--rho", "1", "--p", "0.5",
+                            "--kmax", "2", "--nmax", "3", "--out", str(out)])
+            assert code == 2
+        assert calls == []
+
+    def test_grid_values_sorted_and_distinct(self, tmp_path):
+        # cells run in ascending order of distinct values, so repeating or
+        # reordering a value changes only the options echoed in the comment
+        base = ["sweep", "--p", "0.1", "--p", "0.5", "--kmax", "3", "--nmax", "4"]
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run_cli(
+            base + ["--rho", "2", "--rho", "0.5", "--rho", "2", "--out", str(a)]
+        ) == 1
+        assert run_cli(base + ["--rho", "0.5", "--rho", "2", "--out", str(b)]) == 1
+        rows = [path.read_bytes().split(b"\n", 1)[1] for path in (a, b)]
+        assert rows[0] == rows[1]
+        assert len(rows[0].splitlines()) == 1 + 2 * 2 * 4 * 4
+
+    def test_rows_without_case_objects(self, tmp_path, monkeypatch):
+        # rows are formatted from the report arrays: no CaseResult is built
+        def refuse(*args, **kwargs):
+            raise AssertionError("a CaseResult was built")
+
+        monkeypatch.setattr(mminf.bounds, "CaseResult", refuse)
+        cell = ["--rho", "1", "--p", "0.5", "--nmax", "5"]
+        for command in (["sweep", "--kmax", "3"], ["verify-theorem"]):
+            out = tmp_path / f"{command[0]}.csv"
+            assert main(command + cell + ["--out", str(out)]) == 0
+            assert len(out.read_text().splitlines()) > 2
 
 
 class TestGolden:

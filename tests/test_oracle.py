@@ -14,7 +14,6 @@ from mminf.oracle import (
     exact_generalized_check,
     exact_lemma_check,
     exact_rational_convolution,
-    gillespie_sample,
     gillespie_terminal_states,
     log_fraction,
     truncated_generator,
@@ -76,13 +75,13 @@ class TestUniformizedKernel:
 
 class TestGillespie:
     def test_zero_horizon_returns_start(self):
-        rng = np.random.default_rng(0)
-        assert gillespie_sample(PARAMS, 0.0, 7, rng) == 7
+        cfg = SimulationConfig(seed=0, replications=100, horizon=0.0)
+        assert (gillespie_terminal_states(PARAMS, 7, cfg) == 7).all()
 
     def test_vanishing_arrivals_stay_at_zero(self):
         params = QueueParams(lam=1e-9, mu=1.0)
-        rng = np.random.default_rng(1)
-        assert gillespie_sample(params, 1.0, 0, rng) == 0
+        cfg = SimulationConfig(seed=1, replications=100, horizon=1.0)
+        assert (gillespie_terminal_states(params, 0, cfg) == 0).all()
 
     def test_determinism(self):
         cfg = SimulationConfig(seed=123, replications=500, horizon=0.8)
