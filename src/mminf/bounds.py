@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import count, repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -106,8 +107,7 @@ def log_laplacian(h_minus: float, h_mid: float, h_plus: float) -> float:
     return math.log(h_plus) + math.log(h_minus) - 2.0 * math.log(h_mid)
 
 
-@dataclass(frozen=True)
-class CaseResult:
+class CaseResult(NamedTuple):
     key: tuple
     margin: float
     budget: float
@@ -145,10 +145,13 @@ class VerificationReport:
     @cached_property
     def cases(self) -> list:
         """Every case as a CaseResult, in key order; built on first read."""
+        # tuple.__new__ fills each record in C, without a Python-level
+        # CaseResult.__new__ call per case
+        record = partial(tuple.__new__, CaseResult)
         return [
-            CaseResult(key + (n,), margin, budget)
+            record((key + (n,), margin, budget, True))
             if ok
-            else CaseResult(key + (n,), math.nan, 0.0, testable=False)
+            else record((key + (n,), math.nan, 0.0, False))
             for key, margins, budgets, testable in self.rows()
             for n, margin, budget, ok in zip(count(1), margins, budgets, testable)
         ]
@@ -159,11 +162,17 @@ class VerificationReport:
 
     @property
     def worst_case(self):
-        """The first testable case of least margin, or None."""
+        """The first testable case of least margin, or None; the one record
+        of .cases it names, built without the others."""
         where = np.flatnonzero(self.testable)
         if where.size == 0:
             return None
-        return self.cases[where[np.argmin(self.margins.ravel()[where])]]
+        i = int(where[np.argmin(self.margins.ravel()[where])])
+        margin = self.margins.flat[i].item()
+        if self.margins.ndim == 1:
+            return CaseResult(self.prefix + (i + 1,), margin, self.budgets)
+        k, n = divmod(i, self.margins.shape[1])
+        return CaseResult(self.prefix + (k, n + 1), margin, self.budgets[k, n].item())
 
     @property
     def error_budget(self) -> float:

@@ -27,13 +27,20 @@ def logsumexp(values) -> float:
 
 
 def logsumexp_axis0(arr: np.ndarray) -> np.ndarray:
-    """Column-wise stable log-sum-exp of a 2-D array (-inf entries allowed)."""
-    m = np.max(arr, axis=0)
-    out = np.full(arr.shape[1], LOG_ZERO)
+    """Column-wise stable log-sum-exp of a 2-D array (-inf entries allowed).
+
+    Each column is summed from column-major memory, in NumPy's pairwise
+    order, whichever layout arr has: the same floats from any caller."""
+    m = arr.max(axis=0)
     ok = m > LOG_ZERO
+    if ok.all():
+        shifted = np.asfortranarray(arr) - m
+        return m + np.log(np.exp(shifted).sum(axis=0))
+    out = np.full(arr.shape[1], LOG_ZERO)
     if np.any(ok):
+        # arr[:, ok] is a column-major copy, as in the path above
         shifted = arr[:, ok] - m[ok]
-        out[ok] = m[ok] + np.log(np.sum(np.exp(shifted), axis=0))
+        out[ok] = m[ok] + np.log(np.exp(shifted).sum(axis=0))
     return out
 
 

@@ -188,19 +188,29 @@ def kernel_log_column(
 
     Each entry sums the same binomial * Poisson terms as the matrix does, so
     the two agree to rounding; the cost is (k_max + 1 - k_min) *
-    (min(k_max, n) + 1) terms, whatever the size of n.
+    (min(k_max, n) + 1) terms, whatever the size of n. The binomial factors
+    come from one table per (p, k_max), shared by every column of a cell.
     """
     if t <= 0:
         raise ValueError(f"time must be positive, got {t}")
     p = params.p(t)
     b = params.rho * params.q(t)
     j_hi = min(k_max, n)
-    pois = [poisson_log_pmf(b, n - j) for j in range(j_hi + 1)]
-    terms = np.full((j_hi + 1, k_max + 1 - k_min), LOG_ZERO)
-    for k in range(k_min, k_max + 1):
-        for j in range(min(k, n) + 1):
-            terms[j, k - k_min] = binomial_log_pmf(k, p, j) + pois[j]
+    pois = np.array([poisson_log_pmf(b, n - j) for j in range(j_hi + 1)])
+    # terms[j, k - k_min] = log B(k, p)(j) + log Poisson(b)(n - j), -inf for j > k
+    terms = _binomial_log_table(p, k_max)[k_min:, : j_hi + 1].T + pois[:, None]
     return logsumexp_axis0(terms)
+
+
+@lru_cache(maxsize=4)
+def _binomial_log_table(p: float, k_max: int) -> np.ndarray:
+    # B[k, j] = binomial_log_pmf(k, p, j) for k, j <= k_max, -inf for j > k;
+    # read-only, since every cached column of a cell reads the same table
+    table = np.full((k_max + 1, k_max + 1), LOG_ZERO)
+    for k in range(k_max + 1):
+        table[k, : k + 1] = [binomial_log_pmf(k, p, j) for j in range(k + 1)]
+    table.flags.writeable = False
+    return table
 
 
 def mehler_row(
@@ -296,7 +306,7 @@ def _log_semigroup_profile(
     log-sum-exp; a callable is summed over the certified row of each n."""
     if f.is_table:
         support = f.support
-        g = np.stack(
+        g = np.array(
             [_kernel_column(params.lam, params.mu, t, n_lo, n_hi, m) for m in support]
         )
         log_f = np.array([math.log(f.table[m]) for m in support])

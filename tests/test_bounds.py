@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from mminf.bounds import (
     LOG_TWELVE,
+    CaseResult,
+    VerificationReport,
     glmrs_bound,
     lemma_K,
     log_laplacian,
@@ -304,6 +306,76 @@ class TestVerifyGeneralized:
         report = verify_generalized(0.5, 0.0, 4, 10)
         assert report.verdict
         assert not report.testable.all()
+        untestable = [case for case in report.cases if not case.testable]
+        assert len(untestable) == report.testable.size - report.testable.sum()
+        for key, margin, budget, testable in untestable:
+            assert key[:2] == (0.5, 0.0) and len(key) == 4
+            assert math.isnan(margin)
+            assert budget == 0.0 and testable is False
+
+
+def first_least_case(cases):
+    """The first testable case of least margin, as min picks it, or None."""
+    testable = [case for case in cases if case.testable]
+    return min(testable, key=lambda case: case.margin) if testable else None
+
+
+def _kernel_report(rho, p, k_max, n_max):
+    params = QueueParams(lam=rho, mu=1.0)
+    return verify_kernel_lemma(params, params.t_for_p(p), k_max, n_max)
+
+
+def _theorem_report(rho, p, points, n_max):
+    params = QueueParams(lam=rho, mu=1.0)
+    f = Observable.indicator(points)
+    return verify_theorem(params, params.t_for_p(p), f, n_max)
+
+
+class TestCaseRecords:
+    KEY = (2.0, 0.1, 3, 1)
+
+    def test_fields_immutable(self):
+        case = CaseResult(self.KEY, -0.5, 1e-12)
+        for field in ("key", "margin", "budget", "testable"):
+            with pytest.raises(AttributeError):
+                setattr(case, field, None)
+        assert case == (self.KEY, -0.5, 1e-12, True)
+
+    def test_passed(self):
+        assert CaseResult(self.KEY, 0.0, 0.0).passed
+        assert CaseResult(self.KEY, -1e-12, 1e-12).passed
+        assert not CaseResult(self.KEY, -2e-12, 1e-12).passed
+        assert not CaseResult(self.KEY, 1.0, 0.0, False).passed
+        assert not CaseResult(self.KEY, math.nan, 1.0).passed
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: _kernel_report(2.0, 0.1, 5, 5),  # fails
+            lambda: _kernel_report(0.01, 0.01, 3, 200),  # untestable cases
+            lambda: verify_generalized(0.5, 5.0, 6, 8),
+            lambda: verify_generalized(0.5, 0.0, 4, 10),  # untestable, inf margins
+            lambda: verify_generalized(0.0, 1.5, 5, 15),  # equal rows: ties in k
+            lambda: _theorem_report(2.0, 0.1, [2], 10),
+            lambda: _theorem_report(1.0, 0.999, [0], 150),  # untestable cases
+            lambda: VerificationReport(
+                (1.0,),
+                np.array([[0.5, -1.0], [-1.0, -3.0]]),
+                np.array([[0.1, 0.2], [0.3, 0.4]]),
+                np.array([[True, True], [True, False]]),
+            ),
+            lambda: VerificationReport(
+                (1.0, 0.5), np.array([0.0, 1.0]), 1e-14, np.array([False, False])
+            ),
+        ],
+    )
+    def test_worst_case_is_first_least_testable_case(self, build):
+        report = build()
+        worst = report.worst_case
+        assert "cases" not in report.__dict__  # one record, not the view
+        assert worst == first_least_case(report.cases)
+        if worst is not None:
+            assert type(worst.margin) is float and type(worst.budget) is float
 
 
 class TestSharpnessDecay:

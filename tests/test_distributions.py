@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mminf.distributions import (
     LOG_ZERO,
@@ -14,6 +15,7 @@ from mminf.distributions import (
     convolution_log_matrix,
     convolve,
     logsumexp,
+    logsumexp_axis0,
     poisson_log_pmf,
     poisson_window,
 )
@@ -200,3 +202,47 @@ def test_law_validation():
         convolve(-1, 0.5, 1.0, 1e-12)
     with pytest.raises(ValueError):
         convolve(2, 1.5, 1.0, 1e-12)
+
+
+def masked_logsumexp_axis0(arr):
+    """The column log-sum-exp as written before its all-finite fast path."""
+    m = np.max(arr, axis=0)
+    out = np.full(arr.shape[1], LOG_ZERO)
+    ok = m > LOG_ZERO
+    if np.any(ok):
+        shifted = arr[:, ok] - m[ok]
+        out[ok] = m[ok] + np.log(np.sum(np.exp(shifted), axis=0))
+    return out
+
+
+@st.composite
+def log_blocks(draw):
+    # 1-40 rows: NumPy sums more than 8 rows pairwise, so the summation
+    # order shows where the terms are of one size; -inf entries, and columns
+    # that are -inf throughout
+    shape = (draw(st.integers(1, 40)), draw(st.integers(1, 12)))
+    entry = st.one_of(
+        st.floats(-4.0, 4.0), st.floats(-750.0, 50.0), st.just(LOG_ZERO)
+    )
+    arr = draw(hnp.arrays(np.float64, shape, elements=entry))
+    empty = draw(st.lists(st.booleans(), min_size=shape[1], max_size=shape[1]))
+    arr[:, empty] = LOG_ZERO
+    return np.asfortranarray(arr) if draw(st.booleans()) else arr
+
+
+def _seeded_block():
+    # 40 rows of one size: row-by-row and pairwise sums differ in 8 of its
+    # 11 finite columns
+    rng = np.random.default_rng(7)
+    arr = rng.uniform(-3.0, 3.0, (40, 12))
+    arr[rng.random(arr.shape) < 0.1] = LOG_ZERO
+    arr[:, 5] = LOG_ZERO
+    return arr
+
+
+@given(arr=log_blocks())
+@example(arr=_seeded_block())
+@example(arr=_seeded_block()[:, :5])
+@settings(max_examples=300, deadline=None)
+def test_logsumexp_axis0_bit_identical_to_masked_formula(arr):
+    assert np.array_equal(logsumexp_axis0(arr), masked_logsumexp_axis0(arr))

@@ -9,10 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mminf.distributions import LOG_ZERO, poisson_log_pmf
+from mminf.distributions import (
+    LOG_ZERO,
+    binomial_log_pmf,
+    logsumexp_axis0,
+    poisson_log_pmf,
+)
 from mminf.kernel import (
     Observable,
     QueueParams,
+    _binomial_log_table,
     generator_apply,
     kernel_entry,
     kernel_log_column,
@@ -312,3 +318,38 @@ def test_kernel_log_column_matches_matrix(rho, p, k_max, n, k_min):
     ref = kernel_log_matrix(params, t, k_max, n)[k_min:, n]
     assert col.shape == (k_max + 1 - k_min,)
     assert np.all(np.abs(col - ref) <= 4.0 * np.spacing(np.maximum(np.abs(ref), 1.0)))
+
+
+@given(
+    rho=st.floats(min_value=0.01, max_value=20.0),
+    p=st.floats(min_value=0.001, max_value=0.999),
+    k_max=st.integers(0, 45),
+    n=st.integers(0, 60),
+    k_min=st.integers(0, 45),
+)
+@settings(max_examples=60, deadline=None)
+def test_kernel_log_column_bit_identical_to_scalar_terms(rho, p, k_max, n, k_min):
+    # the binomial table holds the scalar binomial_log_pmf values, so each
+    # term is the same float addition as in a scalar double loop
+    k_min = min(k_min, k_max)
+    params = QueueParams(lam=rho, mu=1.0)
+    t = params.t_for_p(p)
+    p_t, b = params.p(t), params.rho * params.q(t)
+    j_hi = min(k_max, n)
+    pois = [poisson_log_pmf(b, n - j) for j in range(j_hi + 1)]
+    terms = np.full((j_hi + 1, k_max + 1 - k_min), LOG_ZERO)
+    for k in range(k_min, k_max + 1):
+        for j in range(min(k, n) + 1):
+            terms[j, k - k_min] = binomial_log_pmf(k, p_t, j) + pois[j]
+    ref = logsumexp_axis0(terms)
+    assert np.array_equal(kernel_log_column(params, t, k_max, n, k_min), ref)
+
+
+def test_binomial_log_table_read_only():
+    table = _binomial_log_table(0.3, 6)
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[2, 1] = 0.0
+    assert _binomial_log_table(0.3, 6) is table
+    assert table[6, 2] == binomial_log_pmf(6, 0.3, 2)
+    assert table[2, 3] == LOG_ZERO
