@@ -133,14 +133,23 @@ class VerificationReport:
     budgets: np.ndarray | float
     testable: np.ndarray
 
+    def _row_keys(self) -> list:
+        """The key prefix of each row: case n of row k is keyed
+        _row_keys()[k] + (n,)."""
+        if self.margins.ndim == 1:
+            return [self.prefix]
+        return [self.prefix + (k,) for k in range(len(self.margins))]
+
     def rows(self):
         """(key prefix, margins, budgets, testable) of each row, as Python
         values in key order; a float budget is one object for every case."""
         margins, testable = self.margins.tolist(), self.testable.tolist()
         if self.margins.ndim == 1:
-            return [(self.prefix, margins, repeat(self.budgets), testable)]
-        keys = [self.prefix + (k,) for k in range(len(margins))]
-        return zip(keys, margins, self.budgets.tolist(), testable)
+            margins, testable = [margins], [testable]
+            budgets = [repeat(self.budgets)]
+        else:
+            budgets = self.budgets.tolist()
+        return zip(self._row_keys(), margins, budgets, testable)
 
     @cached_property
     def cases(self) -> list:
@@ -167,12 +176,12 @@ class VerificationReport:
         where = np.flatnonzero(self.testable)
         if where.size == 0:
             return None
-        i = int(where[np.argmin(self.margins.ravel()[where])])
-        margin = self.margins.flat[i].item()
-        if self.margins.ndim == 1:
-            return CaseResult(self.prefix + (i + 1,), margin, self.budgets)
-        k, n = divmod(i, self.margins.shape[1])
-        return CaseResult(self.prefix + (k, n + 1), margin, self.budgets[k, n].item())
+        i = where[np.argmin(self.margins.ravel()[where])]
+        k, n = divmod(int(i), self.margins.shape[-1])
+        budget = np.broadcast_to(self.budgets, self.margins.shape).flat[i]
+        return CaseResult(
+            self._row_keys()[k] + (n + 1,), self.margins.flat[i].item(), budget.item()
+        )
 
     @property
     def error_budget(self) -> float:

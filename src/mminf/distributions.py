@@ -30,18 +30,12 @@ def logsumexp_axis0(arr: np.ndarray) -> np.ndarray:
     """Column-wise stable log-sum-exp of a 2-D array (-inf entries allowed).
 
     Each column is summed from column-major memory, in NumPy's pairwise
-    order, whichever layout arr has: the same floats from any caller."""
+    order, whichever layout arr has: the same floats from any caller. A
+    column that is -inf throughout sums to 0, and its log is skipped."""
     m = arr.max(axis=0)
     ok = m > LOG_ZERO
-    if ok.all():
-        shifted = np.asfortranarray(arr) - m
-        return m + np.log(np.exp(shifted).sum(axis=0))
-    out = np.full(arr.shape[1], LOG_ZERO)
-    if np.any(ok):
-        # arr[:, ok] is a column-major copy, as in the path above
-        shifted = arr[:, ok] - m[ok]
-        out[ok] = m[ok] + np.log(np.exp(shifted).sum(axis=0))
-    return out
+    s = np.exp(np.asfortranarray(arr) - np.where(ok, m, 0.0)).sum(axis=0)
+    return m + np.log(s, out=np.full_like(m, LOG_ZERO), where=ok)
 
 
 def poisson_log_pmf(rate: float, n: int) -> float:

@@ -189,7 +189,7 @@ def kernel_log_column(
     Each entry sums the same binomial * Poisson terms as the matrix does, so
     the two agree to rounding; the cost is (k_max + 1 - k_min) *
     (min(k_max, n) + 1) terms, whatever the size of n. The binomial factors
-    come from one table per (p, k_max), shared by every column of a cell.
+    come from _binomial_log_table, which the columns of a cell share.
     """
     if t <= 0:
         raise ValueError(f"time must be positive, got {t}")
@@ -198,19 +198,40 @@ def kernel_log_column(
     j_hi = min(k_max, n)
     pois = np.array([poisson_log_pmf(b, n - j) for j in range(j_hi + 1)])
     # terms[j, k - k_min] = log B(k, p)(j) + log Poisson(b)(n - j), -inf for j > k
-    terms = _binomial_log_table(p, k_max)[k_min:, : j_hi + 1].T + pois[:, None]
+    terms = _binomial_log_table(p, k_min, k_max, j_hi).T + pois[:, None]
     return logsumexp_axis0(terms)
 
 
-@lru_cache(maxsize=4)
-def _binomial_log_table(p: float, k_max: int) -> np.ndarray:
-    # B[k, j] = binomial_log_pmf(k, p, j) for k, j <= k_max, -inf for j > k;
-    # read-only, since every cached column of a cell reads the same table
-    table = np.full((k_max + 1, k_max + 1), LOG_ZERO)
-    for k in range(k_max + 1):
-        table[k, : k + 1] = [binomial_log_pmf(k, p, j) for j in range(k + 1)]
-    table.flags.writeable = False
-    return table
+# the one binomial table kept: {(p, k_min, k_max): table}
+_binomial_tables: dict = {}
+
+
+def _binomial_log_table(p: float, k_min: int, k_max: int, j_hi: int) -> np.ndarray:
+    """Read-only B[k - k_min, j] = binomial_log_pmf(k, p, j) for
+    k_min <= k <= k_max and j <= j_hi, -inf for j > k.
+
+    Only the table of the last (p, k_min, k_max) is kept, so the columns of
+    one cell share it. When a column needs more of it, it widens to at least
+    twice its width, and never past k_max + 1: each entry is computed once,
+    and the table is at most twice as wide as the widest slice asked of it."""
+    key = (p, k_min, k_max)
+    table = _binomial_tables.get(key)
+    width = 0 if table is None else table.shape[1]
+    if width <= j_hi:
+        new_width = min(k_max + 1, max(j_hi + 1, 2 * width))
+        grown = np.full((k_max + 1 - k_min, new_width), LOG_ZERO)
+        if table is not None:
+            grown[:, :width] = table
+        # rows k < width are complete: their entries j > k are -inf
+        for k in range(max(k_min, width), k_max + 1):
+            j_end = min(k, new_width - 1) + 1
+            grown[k - k_min, width:j_end] = [
+                binomial_log_pmf(k, p, j) for j in range(width, j_end)
+            ]
+        grown.flags.writeable = False
+        _binomial_tables.clear()
+        _binomial_tables[key] = table = grown
+    return table[:, : j_hi + 1]
 
 
 def mehler_row(

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mminf.kernel as kernel_module
+from mminf.bounds import sharpness_decay
 from mminf.distributions import (
     LOG_ZERO,
     binomial_log_pmf,
@@ -346,10 +348,54 @@ def test_kernel_log_column_bit_identical_to_scalar_terms(rho, p, k_max, n, k_min
 
 
 def test_binomial_log_table_read_only():
-    table = _binomial_log_table(0.3, 6)
+    table = _binomial_log_table(0.3, 2, 6, 3)
+    assert table.shape == (5, 4)
     assert not table.flags.writeable
     with pytest.raises(ValueError):
         table[2, 1] = 0.0
-    assert _binomial_log_table(0.3, 6) is table
-    assert table[6, 2] == binomial_log_pmf(6, 0.3, 2)
-    assert table[2, 3] == LOG_ZERO
+    assert np.shares_memory(_binomial_log_table(0.3, 2, 6, 1), table)
+    assert table[4, 2] == binomial_log_pmf(6, 0.3, 2)
+    assert table[0, 3] == LOG_ZERO
+
+
+@pytest.fixture
+def binomial_calls(monkeypatch):
+    """Every (k, p, j) the kernel module asks binomial_log_pmf for."""
+    calls = []
+
+    def counted(k, p, j):
+        calls.append((k, p, j))
+        return binomial_log_pmf(k, p, j)
+
+    monkeypatch.setattr(kernel_module, "binomial_log_pmf", counted)
+    return calls
+
+
+def test_binomial_log_table_widens_computing_each_entry_once(binomial_calls):
+    p, k_min, k_max = 0.45, 3, 40
+    widths = []
+    for j_hi in (2, 5, 6, 1, 30, 40):
+        table = _binomial_log_table(p, k_min, k_max, j_hi)
+        assert table.shape == (k_max + 1 - k_min, j_hi + 1)
+        widths.append(table.base.shape[1])
+        for k in range(k_min, k_max + 1):
+            for j in range(j_hi + 1):
+                assert table[k - k_min, j] == binomial_log_pmf(k, p, j)
+    # each width is the asked j_hi + 1, or twice the last, capped at k_max + 1
+    assert widths == [3, 6, 12, 12, 31, 41]
+    assert len(binomial_calls) == len(set(binomial_calls))
+    assert len(binomial_calls) == sum(k + 1 for k in range(k_min, k_max + 1))
+
+
+def test_semigroup_tables_sized_to_the_rows_and_support(binomial_calls):
+    # three rows near n = 2000 of a one-point support read a 3 x 1 table,
+    # not the triangle of every row up to n + 1
+    params = QueueParams(lam=1.7, mu=1.0)
+    ts = [0.5, 1.0, 2.0]
+    sharpness_decay(params, Observable.indicator([0]), 2000, ts)
+    assert sorted({j for _, _, j in binomial_calls}) == [0]
+    assert len(binomial_calls) == 3 * len(ts)
+    binomial_calls.clear()
+    log_semigroup_apply(params, 0.75, Observable.indicator([0, 1]), 3000)
+    p = params.p(0.75)
+    assert sorted(binomial_calls) == [(3000, p, 0), (3000, p, 1)]
