@@ -82,10 +82,11 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _add_common(p: argparse.ArgumentParser):
+def _add_common(p: argparse.ArgumentParser, jobs: bool = True):
     p.add_argument("--out", type=str, default=None)
     p.add_argument("--strict", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
+    if jobs:  # only grid commands have cells to share among processes
+        p.add_argument("--jobs", type=int, default=1)
 
 
 def parse_args(argv) -> RunConfig:
@@ -139,7 +140,7 @@ def parse_args(argv) -> RunConfig:
     p.add_argument("--f", type=str, default="indicator:0..1")
     p.add_argument("--t", type=float, action="append")
     p.add_argument("--delta", type=float, default=1e-6)
-    _add_common(p)
+    _add_common(p, jobs=False)
 
     p = sub.add_parser("sweep", help="verify-lemma over the default grid")
     p.add_argument("--rho", type=float, action="append")
@@ -182,8 +183,9 @@ def _validate(command, opts, parser):
         require(name, lambda v: v >= 0.0, "finite and non-negative")
     for name in ("rho", "mu", "t", "tol"):
         require(name, lambda v: v > 0.0, "finite and positive")
-    for name in ("kmax", "nmax"):
-        require(name, lambda v: v >= 0, "non-negative")
+    require("kmax", lambda v: v >= 0, "non-negative")
+    n_min = 0 if command == "oracle-check" else 1  # the first n a command checks
+    require("nmax", lambda v: v >= n_min, f">= {n_min}")
     for name in ("n", "jobs"):
         require(name, lambda v: v >= 1, ">= 1")
     if "mu" in opts:  # each such command runs at arrival rate rho * mu
@@ -304,7 +306,7 @@ def _run_cells(cells, worker, jobs):
 def run(config: RunConfig) -> int:
     o = config.options
     if config.command == "sharpness":
-        t_vals = sorted(_values("sharpness", o, "t"))
+        t_vals = sorted(set(_values("sharpness", o, "t")))
         params = QueueParams(lam=o["rho"] * o["mu"], mu=o["mu"])
         f = parse_observable(o["f"])
         rows = []

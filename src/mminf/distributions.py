@@ -27,14 +27,16 @@ def logsumexp(values) -> float:
 
 
 def logsumexp_axis0(arr: np.ndarray) -> np.ndarray:
-    """Column-wise stable log-sum-exp of a 2-D array (-inf entries allowed).
+    """Stable log-sum-exp of an N-D array over its first axis (-inf allowed).
 
-    Each column is summed from column-major memory, in NumPy's pairwise
-    order, whichever layout arr has: the same floats from any caller. A
-    column that is -inf throughout sums to 0, and its log is skipped."""
+    The exponentials are added as a running sum in index order (.sum would
+    add pairwise, in an order set by length and layout), so a result depends
+    only on its own terms, and -inf terms add exact zeros. A slice that is
+    -inf throughout sums to 0, and its log is skipped."""
     m = arr.max(axis=0)
     ok = m > LOG_ZERO
-    s = np.exp(np.asfortranarray(arr) - np.where(ok, m, 0.0)).sum(axis=0)
+    e = arr - np.where(ok, m, 0.0)
+    s = np.add.accumulate(np.exp(e, out=e), axis=0, out=e)[-1]
     return m + np.log(s, out=np.full_like(m, LOG_ZERO), where=ok)
 
 
@@ -145,23 +147,60 @@ class CertifiedPmf:
         return float(math.exp(logsumexp(finite)))
 
 
+# the one binomial table kept: {(p, k_min, k_max): table}
+_binomial_tables: dict = {}
+
+
+def _binomial_log_table(p: float, k_min: int, k_max: int, j_hi: int) -> np.ndarray:
+    """Read-only B[k - k_min, j] = binomial_log_pmf(k, p, j) for
+    k_min <= k <= k_max and j <= j_hi, -inf for j > k.
+
+    Only the table of the last (p, k_min, k_max) is kept, so the columns of
+    one cell share it. When a column needs more of it, it widens to at least
+    twice its width, and never past k_max + 1: each entry is computed once,
+    and the table is at most twice as wide as the widest slice asked of it."""
+    key = (p, k_min, k_max)
+    table = _binomial_tables.get(key)
+    width = 0 if table is None else table.shape[1]
+    if width <= j_hi:
+        new_width = min(k_max + 1, max(j_hi + 1, 2 * width))
+        grown = np.full((k_max + 1 - k_min, new_width), LOG_ZERO)
+        if table is not None:
+            grown[:, :width] = table
+        # rows k < width are complete: their entries j > k are -inf
+        for k in range(max(k_min, width), k_max + 1):
+            j_end = min(k, new_width - 1) + 1
+            grown[k - k_min, width:j_end] = [
+                binomial_log_pmf(k, p, j) for j in range(width, j_end)
+            ]
+        grown.flags.writeable = False
+        _binomial_tables.clear()
+        _binomial_tables[key] = table = grown
+    return table[:, : j_hi + 1]
+
+
 def convolution_log_matrix(
-    a: float, b: float, k_max: int, n_hi: int, k_min: int = 0
+    a: float, b: float, k_max: int, n_hi: int, k_min: int = 0, cols=None
 ) -> np.ndarray:
-    """log-masses of B(k, a) * Poisson(b) at 0..n_hi, one row for each
-    k_min <= k <= k_max, each entry via log-sum-exp over the at most k+1
-    binomial terms; the Poisson factor is evaluated once for all rows."""
+    """log-masses of B(k, a) * Poisson(b), one row for each k_min <= k <= k_max,
+    one column for each of the ascending points cols in 0..n_hi (default all).
+
+    Entry (k, n) sums log B(k, a)(j) + log Poisson(b)(n - j) over j, each term
+    the same float in any block, in one log-sum-exp in order of j: so it is
+    the same float whatever rows and columns its block holds."""
     if k_min < 0:
         raise ValueError(f"trial count must be non-negative, got {k_min}")
-    pois = np.array([poisson_log_pmf(b, m) for m in range(n_hi + 1)])
-    rows = np.empty((k_max + 1 - k_min, n_hi + 1))
-    for k in range(k_min, k_max + 1):
-        binom = np.array([binomial_log_pmf(k, a, j) for j in range(k + 1)])
-        terms = np.full((k + 1, n_hi + 1), LOG_ZERO)
-        for j in range(min(k, n_hi) + 1):
-            terms[j, j:] = binom[j] + pois[: n_hi + 1 - j]
-        rows[k - k_min] = logsumexp_axis0(terms)
-    return rows
+    cols = np.arange(n_hi + 1) if cols is None else np.asarray(cols)
+    j_top = min(k_max, n_hi)
+    lo = int(cols[0]) - j_top  # pois holds the points lo..n_hi, -inf below 0
+    pois = np.array(
+        [poisson_log_pmf(b, m) if m >= 0 else LOG_ZERO for m in range(lo, n_hi + 1)]
+    )
+    # terms[j, k, c] = log B(k, a)(j) + log Poisson(b)(cols[c] - j), -inf
+    # where j > min(k, cols[c])
+    binom = _binomial_log_table(a, k_min, k_max, j_top).T
+    pois = pois[cols - lo - np.arange(j_top + 1)[:, None]]
+    return logsumexp_axis0(binom[:, :, None] + pois[:, None, :])
 
 
 def convolve(k: int, a: float, b: float, deficit: float) -> CertifiedPmf:

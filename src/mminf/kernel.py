@@ -17,7 +17,6 @@ import numpy as np
 from .distributions import (
     LOG_ZERO,
     CertifiedPmf,
-    binomial_log_pmf,
     convolution_log_matrix,
     convolve,
     logsumexp,
@@ -148,19 +147,25 @@ class SemigroupValue:
 
 @lru_cache(maxsize=2_000_000)
 def _kernel_log_entry(lam: float, mu: float, t: float, k: int, n: int) -> float:
-    p = math.exp(-mu * t)
-    b = (lam / mu) * (-math.expm1(-mu * t))
-    j_hi = min(k, n)
-    return logsumexp(
-        binomial_log_pmf(k, p, j) + poisson_log_pmf(b, n - j) for j in range(j_hi + 1)
-    )
+    # the 1 x 1 block: bit for bit entry (k, n) of any block that holds it
+    return float(_kernel_log_block(lam, mu, t, k, k, n)[0, 0])
+
+
+def _kernel_log_block(
+    lam: float, mu: float, t: float, k_min: int, k_max: int, n: int
+) -> np.ndarray:
+    # log P(n | k) for k_min <= k <= k_max, as a one-column block
+    params = QueueParams(lam, mu)
+    b = params.rho * params.q(t)
+    return convolution_log_matrix(params.p(t), b, k_max, n, k_min, cols=[n])
 
 
 def kernel_entry(params: QueueParams, t: float, k: int, n: int) -> float:
     """log P(state = n at time t | start = k), via the finite convolution sum.
 
     Each entry is a single log-sum-exp over min(k, n) + 1 terms, so it carries
-    an error bound independent of any recursion in k.
+    an error bound independent of any recursion in k, and it equals
+    kernel_log_matrix(params, t, k_max, n_max)[k, n] bit for bit.
     """
     if t < 0:
         raise ValueError(f"time must be non-negative, got {t}")
@@ -178,60 +183,6 @@ def kernel_log_matrix(params: QueueParams, t: float, k_max: int, n_max: int) -> 
     p = params.p(t)
     b = params.rho * params.q(t)
     return convolution_log_matrix(p, b, k_max, n_max)
-
-
-def kernel_log_column(
-    params: QueueParams, t: float, k_max: int, n: int, k_min: int = 0
-) -> np.ndarray:
-    """Column n of kernel_log_matrix(params, t, k_max, n), log P(n | k) for
-    k_min <= k <= k_max, without the columns before it.
-
-    Each entry sums the same binomial * Poisson terms as the matrix does, so
-    the two agree to rounding; the cost is (k_max + 1 - k_min) *
-    (min(k_max, n) + 1) terms, whatever the size of n. The binomial factors
-    come from _binomial_log_table, which the columns of a cell share.
-    """
-    if t <= 0:
-        raise ValueError(f"time must be positive, got {t}")
-    p = params.p(t)
-    b = params.rho * params.q(t)
-    j_hi = min(k_max, n)
-    pois = np.array([poisson_log_pmf(b, n - j) for j in range(j_hi + 1)])
-    # terms[j, k - k_min] = log B(k, p)(j) + log Poisson(b)(n - j), -inf for j > k
-    terms = _binomial_log_table(p, k_min, k_max, j_hi).T + pois[:, None]
-    return logsumexp_axis0(terms)
-
-
-# the one binomial table kept: {(p, k_min, k_max): table}
-_binomial_tables: dict = {}
-
-
-def _binomial_log_table(p: float, k_min: int, k_max: int, j_hi: int) -> np.ndarray:
-    """Read-only B[k - k_min, j] = binomial_log_pmf(k, p, j) for
-    k_min <= k <= k_max and j <= j_hi, -inf for j > k.
-
-    Only the table of the last (p, k_min, k_max) is kept, so the columns of
-    one cell share it. When a column needs more of it, it widens to at least
-    twice its width, and never past k_max + 1: each entry is computed once,
-    and the table is at most twice as wide as the widest slice asked of it."""
-    key = (p, k_min, k_max)
-    table = _binomial_tables.get(key)
-    width = 0 if table is None else table.shape[1]
-    if width <= j_hi:
-        new_width = min(k_max + 1, max(j_hi + 1, 2 * width))
-        grown = np.full((k_max + 1 - k_min, new_width), LOG_ZERO)
-        if table is not None:
-            grown[:, :width] = table
-        # rows k < width are complete: their entries j > k are -inf
-        for k in range(max(k_min, width), k_max + 1):
-            j_end = min(k, new_width - 1) + 1
-            grown[k - k_min, width:j_end] = [
-                binomial_log_pmf(k, p, j) for j in range(width, j_end)
-            ]
-        grown.flags.writeable = False
-        _binomial_tables.clear()
-        _binomial_tables[key] = table = grown
-    return table[:, : j_hi + 1]
 
 
 def mehler_row(
@@ -313,7 +264,7 @@ def _kernel_column(
     # G[k, n] for k_min <= k <= k_max, shared read-only by every table
     # observable of one (rho, p) cell whose support holds n: its sharp and its
     # 1/12 reports
-    column = kernel_log_column(QueueParams(lam, mu), t, k_max, n, k_min)
+    column = _kernel_log_block(lam, mu, t, k_min, k_max, n)[:, 0]
     column.flags.writeable = False
     return column
 

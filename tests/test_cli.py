@@ -16,17 +16,17 @@ from mminf.oracle import uniformized_kernel
 # and recorded in CHANGES.md
 GOLDEN = {
     "sweep": (
-        1, "7e20c7eca7fcec06fb3fd36498dcfdfbf97005721b9b0de03bde9a3a543d3d3d"),
+        1, "7780d6653fcb455d384cbb843f750d8f42efcbfc478729f6764e8a32d6b5b21e"),
     "verify-generalized": (
-        1, "769888eb93b391bd958dfc6d046cf2f1d9f82eee7e8949ab47e92e4bde3c5e12"),
+        1, "21b17221077331c652c8c35c1c08bf9b429f3749958732d9eb53c683bb2c334a"),
     "verify-theorem": (
         0, "86c293d9b75666b24ae0008243d17684014c3c323bb4a87fb7b2e90617f4980c"),
     "oracle-check": (
-        0, "91583b9f74aceaa63a6af1af6b4e7966d3c4ee52b5f5d6ceb3b4bf0e9cc13ec8"),
+        0, "11a0380da09bc4c7ca6e32b1d7b95da289f74eb4240182ae5b18cfa5d61e4cc3"),
     "sharpness": (
         0, "2dc123ec857169233a62ef4cd8002c99695230efbbb9e1accd62955d63bfe8ba"),
     "verify-lemma": (
-        1, "216094236984237906374dac204a64a611c103f9124ee40d059a3ed36b6bd3f2"),
+        1, "ce92723cb541cf371b5e9efa9c6c7118af26b76618711136997f172a06e22428"),
 }
 
 COMMANDS = ["verify-lemma", "verify-theorem", "verify-generalized",
@@ -110,6 +110,11 @@ class TestBadInput:
             ["sharpness", "--delta", "-1"],
             ["sweep", "--jobs", "0"],
             ["sweep", "--jobs", "-4"],
+            ["sweep", "--nmax", "0"],
+            ["verify-lemma", "--nmax", "0"],
+            ["verify-generalized", "--nmax", "0"],
+            ["verify-theorem", "--nmax", "0"],
+            ["sharpness", "--jobs", "3"],
         ],
         ids=" ".join,
     )
@@ -130,6 +135,14 @@ class TestBadInput:
         with pytest.warns(RuntimeWarning, match="boundary leak"):
             assert main(argv) in (0, 1)
         assert len(out.read_text().splitlines()) == 2 + 4
+
+
+    def test_oracle_nmax_zero_checks_n_zero(self, tmp_path):
+        out = tmp_path / "oracle.csv"
+        argv = ["oracle-check", "--rho", "1", "--p", "0.5", "--kmax", "2",
+                "--nmax", "0", "--N", "40", "--out", str(out)]
+        assert main(argv) == 0
+        assert len(out.read_text().splitlines()) == 2 + 3
 
 
 class TestParseObservable:
@@ -219,6 +232,15 @@ class TestRun:
         assert rhs == sorted(rhs, reverse=True)
         assert rows[-1][-1] == "pass"
 
+    def test_sharpness_repeated_t_checked_once(self, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        code = run_cli(["sharpness", "--t", "4", "--t", "1", "--t", "4",
+                        "--out", str(a)])
+        assert code == run_cli(["sharpness", "--t", "1", "--t", "4", "--out", str(b)])
+        rows = [path.read_bytes().split(b"\n", 1)[1] for path in (a, b)]
+        assert rows[0] == rows[1]
+        assert len(rows[0].splitlines()) == 1 + 2
+
     def test_jobs_parallel_matches_serial(self, tmp_path):
         base = ["verify-lemma", "--rho", "0.5", "--rho", "1", "--p", "0.5",
                 "--p", "0.7", "--kmax", "3", "--nmax", "5"]
@@ -307,8 +329,8 @@ class TestGolden:
 
 
 def test_oracle_rows_match_scalar_route(tmp_path):
-    # oracle-check takes its discrepancies from kernel_log_matrix rows; the
-    # scalar kernel_entry route must give the same numbers within 1e-15
+    # oracle-check takes its discrepancies from kernel_log_matrix rows; one
+    # kernel_entry at a time must give the same numbers within 1e-15
     rhos, ps, kmax, nmax, big_n, tol = [0.5, 5.0], [0.1, 0.9], 10, 20, 60, 1e-10
     out = tmp_path / "oracle.csv"
     argv = ["oracle-check", "--kmax", str(kmax), "--nmax", str(nmax),

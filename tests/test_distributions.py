@@ -19,6 +19,7 @@ from mminf.distributions import (
     poisson_log_pmf,
     poisson_window,
 )
+from mminf.kernel import QueueParams, kernel_entry, kernel_log_matrix
 from mminf.oracle import exact_rational_convolution, log_fraction
 
 
@@ -153,18 +154,36 @@ class TestConvolve:
     b=st.floats(min_value=0.0, max_value=40.0),
     k_max=st.integers(0, 40),
     n_hi=st.integers(0, 70),
-    k=st.integers(0, 40),
+    k_range=st.tuples(st.integers(0, 40), st.integers(0, 40)),
+    points=st.sets(st.integers(0, 70), min_size=1),
 )
+@example(a=0.0, b=3.0, k_max=12, n_hi=20, k_range=(2, 9), points={0, 5, 20})
+@example(a=1.0, b=3.0, k_max=12, n_hi=20, k_range=(2, 9), points={0, 5, 20})
+@example(a=0.4, b=0.0, k_max=12, n_hi=20, k_range=(2, 9), points={0, 5, 20})
 @settings(max_examples=100, deadline=None)
-def test_block_row_equals_single_row(a, b, k_max, n_hi, k):
-    # every row of a block is built alone from the shared Poisson vector, so a
-    # row taken on its own matches it bit for bit
-    k = min(k, k_max)
+def test_block_row_equals_single_row(a, b, k_max, n_hi, k_range, points):
+    # an entry is the same float in any block that holds it: a sub-block
+    # with a row range and a column subset, a one-column block, a single row
     block = convolution_log_matrix(a, b, k_max, n_hi)
     assert block.shape == (k_max + 1, n_hi + 1)
-    single = convolution_log_matrix(a, b, k, n_hi, k_min=k)
-    assert single.shape == (1, n_hi + 1)
-    assert np.array_equal(block[k], single[0])
+    k_min, k_hi = sorted(min(k, k_max) for k in k_range)
+    cols = sorted({n % (n_hi + 1) for n in points})
+    rows = block[k_min : k_hi + 1]
+    sub = convolution_log_matrix(a, b, k_hi, cols[-1], k_min, cols)
+    assert np.array_equal(sub, rows[:, cols])
+    for n in cols:
+        one = convolution_log_matrix(a, b, k_hi, n, k_min, [n])
+        assert np.array_equal(one[:, 0], rows[:, n])
+    single = convolution_log_matrix(a, b, k_hi, n_hi, k_min=k_hi)
+    assert np.array_equal(single[0], block[k_hi])
+    if 0.0 < a < 1.0 and b > 0.0:
+        # kernel_entry reads the 1 x 1 block of the kernel's own (p, b)
+        params = QueueParams(lam=b, mu=1.0)
+        t = params.t_for_p(a)
+        g = kernel_log_matrix(params, t, k_max, n_hi)
+        for k in (k_min, k_hi):
+            for n in cols:
+                assert kernel_entry(params, t, k, n) == g[k, n]
 
 
 class TestAgainstRationalOracle:
@@ -204,35 +223,41 @@ def test_law_validation():
         convolve(2, 1.5, 1.0, 1e-12)
 
 
-def masked_logsumexp_axis0(arr):
-    """The column log-sum-exp as written before its all-finite fast path."""
-    m = np.max(arr, axis=0)
-    out = np.full(arr.shape[1], LOG_ZERO)
-    ok = m > LOG_ZERO
-    if np.any(ok):
-        shifted = arr[:, ok] - m[ok]
-        out[ok] = m[ok] + np.log(np.sum(np.exp(shifted), axis=0))
-    return out
+def running_sum_logsumexp_axis0(arr):
+    """Reference: each slice along axis 0 summed by a Python loop, in order."""
+    flat = arr.reshape(arr.shape[0], -1)
+    out = np.full(flat.shape[1], LOG_ZERO)
+    for c in range(flat.shape[1]):
+        m = flat[:, c].max()
+        if m == LOG_ZERO:
+            continue
+        s = 0.0
+        for x in np.exp(flat[:, c] - m):
+            s += x
+        out[c] = m + np.log(s)
+    return out.reshape(arr.shape[1:])
 
 
 @st.composite
 def log_blocks(draw):
-    # 1-40 rows: NumPy sums more than 8 rows pairwise, so the summation
-    # order shows where the terms are of one size; -inf entries, and columns
-    # that are -inf throughout
-    shape = (draw(st.integers(1, 40)), draw(st.integers(1, 12)))
+    # 1-40 rows over a 1-D or 2-D trailing shape: NumPy sums more than 8 rows
+    # pairwise, so the summation order shows where the terms are of one
+    # size; -inf entries, and slices that are -inf throughout
+    shape = (draw(st.integers(1, 40)),) + draw(
+        hnp.array_shapes(min_dims=1, max_dims=2, max_side=12)
+    )
     entry = st.one_of(
         st.floats(-4.0, 4.0), st.floats(-750.0, 50.0), st.just(LOG_ZERO)
     )
     arr = draw(hnp.arrays(np.float64, shape, elements=entry))
-    empty = draw(st.lists(st.booleans(), min_size=shape[1], max_size=shape[1]))
+    empty = draw(hnp.arrays(np.bool_, shape[1:]))
     arr[:, empty] = LOG_ZERO
-    return np.asfortranarray(arr) if draw(st.booleans()) else arr
+    return arr
 
 
 def _seeded_block():
-    # 40 rows of one size: row-by-row and pairwise sums differ in 8 of its
-    # 11 finite columns
+    # 40 rows of one size: running and pairwise sums differ in 4 of its 11
+    # finite columns
     rng = np.random.default_rng(7)
     arr = rng.uniform(-3.0, 3.0, (40, 12))
     arr[rng.random(arr.shape) < 0.1] = LOG_ZERO
@@ -240,9 +265,14 @@ def _seeded_block():
     return arr
 
 
-@given(arr=log_blocks())
-@example(arr=_seeded_block())
-@example(arr=_seeded_block()[:, :5])
+@given(arr=log_blocks(), pad=st.integers(1, 30))
+@example(arr=_seeded_block(), pad=1)
+@example(arr=_seeded_block()[:, :5], pad=9)
 @settings(max_examples=300, deadline=None)
-def test_logsumexp_axis0_bit_identical_to_masked_formula(arr):
-    assert np.array_equal(logsumexp_axis0(arr), masked_logsumexp_axis0(arr))
+def test_logsumexp_axis0_is_running_sum(arr, pad):
+    # the same floats in any layout, and with -inf rows appended
+    ref = running_sum_logsumexp_axis0(arr)
+    assert np.array_equal(logsumexp_axis0(arr), ref)
+    assert np.array_equal(logsumexp_axis0(np.asfortranarray(arr)), ref)
+    padded = np.concatenate([arr, np.full((pad,) + arr.shape[1:], LOG_ZERO)])
+    assert np.array_equal(logsumexp_axis0(padded), ref)

@@ -9,21 +9,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import mminf.kernel as kernel_module
+import mminf.distributions as distributions_module
 from mminf.bounds import sharpness_decay
 from mminf.distributions import (
     LOG_ZERO,
+    _binomial_log_table,
     binomial_log_pmf,
-    logsumexp_axis0,
     poisson_log_pmf,
 )
 from mminf.kernel import (
     Observable,
     QueueParams,
-    _binomial_log_table,
+    _kernel_column,
     generator_apply,
     kernel_entry,
-    kernel_log_column,
     kernel_log_matrix,
     log_semigroup_apply,
     mehler_row,
@@ -298,28 +297,7 @@ def test_kernel_log_matrix_consistent_with_entries():
     g = kernel_log_matrix(PARAMS, t, 6, 12)
     for k in range(7):
         for n in range(13):
-            assert g[k, n] == pytest.approx(
-                kernel_entry(PARAMS, t, k, n), abs=1e-13
-            )
-
-
-@given(
-    rho=st.floats(min_value=0.01, max_value=20.0),
-    p=st.floats(min_value=0.001, max_value=0.999),
-    k_max=st.integers(0, 45),
-    n=st.integers(0, 45),
-    k_min=st.integers(0, 45),
-)
-@settings(max_examples=60, deadline=None)
-def test_kernel_log_column_matches_matrix(rho, p, k_max, n, k_min):
-    # the same terms summed in another numpy reduction order: a few ulps apart
-    k_min = min(k_min, k_max)
-    params = QueueParams(lam=rho, mu=1.0)
-    t = params.t_for_p(p)
-    col = kernel_log_column(params, t, k_max, n, k_min)
-    ref = kernel_log_matrix(params, t, k_max, n)[k_min:, n]
-    assert col.shape == (k_max + 1 - k_min,)
-    assert np.all(np.abs(col - ref) <= 4.0 * np.spacing(np.maximum(np.abs(ref), 1.0)))
+            assert g[k, n] == kernel_entry(PARAMS, t, k, n)
 
 
 @given(
@@ -330,21 +308,48 @@ def test_kernel_log_column_matches_matrix(rho, p, k_max, n, k_min):
     k_min=st.integers(0, 45),
 )
 @settings(max_examples=60, deadline=None)
-def test_kernel_log_column_bit_identical_to_scalar_terms(rho, p, k_max, n, k_min):
-    # the binomial table holds the scalar binomial_log_pmf values, so each
-    # term is the same float addition as in a scalar double loop
+def test_kernel_column_is_matrix_column(rho, p, k_max, n, k_min):
+    # a column is a one-column block of the same primitive: the same floats
+    k_min = min(k_min, k_max)
+    params = QueueParams(lam=rho, mu=1.0)
+    t = params.t_for_p(p)
+    col = _kernel_column(params.lam, params.mu, t, k_min, k_max, n)
+    assert col.shape == (k_max + 1 - k_min,)
+    assert not col.flags.writeable
+    assert np.array_equal(col, kernel_log_matrix(params, t, k_max, n)[k_min:, n])
+
+
+@given(
+    rho=st.floats(min_value=0.01, max_value=20.0),
+    p=st.floats(min_value=0.001, max_value=0.999),
+    k_max=st.integers(0, 45),
+    n=st.integers(0, 60),
+    k_min=st.integers(0, 45),
+)
+@settings(max_examples=60, deadline=None)
+def test_kernel_column_is_running_sum_of_scalar_terms(rho, p, k_max, n, k_min):
+    # the reference adds the scalar binomial_log_pmf + poisson_log_pmf terms
+    # of each entry one at a time, in order of j
     k_min = min(k_min, k_max)
     params = QueueParams(lam=rho, mu=1.0)
     t = params.t_for_p(p)
     p_t, b = params.p(t), params.rho * params.q(t)
-    j_hi = min(k_max, n)
-    pois = [poisson_log_pmf(b, n - j) for j in range(j_hi + 1)]
-    terms = np.full((j_hi + 1, k_max + 1 - k_min), LOG_ZERO)
+    ref = []
     for k in range(k_min, k_max + 1):
-        for j in range(min(k, n) + 1):
-            terms[j, k - k_min] = binomial_log_pmf(k, p_t, j) + pois[j]
-    ref = logsumexp_axis0(terms)
-    assert np.array_equal(kernel_log_column(params, t, k_max, n, k_min), ref)
+        terms = np.array(
+            [binomial_log_pmf(k, p_t, j) + poisson_log_pmf(b, n - j)
+             for j in range(min(k, n) + 1)]
+        )
+        m = terms.max()
+        if m == LOG_ZERO:
+            ref.append(LOG_ZERO)
+            continue
+        s = 0.0
+        for x in np.exp(terms - m):
+            s += x
+        ref.append(m + np.log(s))
+    col = _kernel_column(params.lam, params.mu, t, k_min, k_max, n)
+    assert np.array_equal(col, ref)
 
 
 def test_binomial_log_table_read_only():
@@ -360,14 +365,14 @@ def test_binomial_log_table_read_only():
 
 @pytest.fixture
 def binomial_calls(monkeypatch):
-    """Every (k, p, j) the kernel module asks binomial_log_pmf for."""
+    """Every (k, p, j) the binomial table asks binomial_log_pmf for."""
     calls = []
 
     def counted(k, p, j):
         calls.append((k, p, j))
         return binomial_log_pmf(k, p, j)
 
-    monkeypatch.setattr(kernel_module, "binomial_log_pmf", counted)
+    monkeypatch.setattr(distributions_module, "binomial_log_pmf", counted)
     return calls
 
 
