@@ -147,8 +147,7 @@ class CertifiedPmf:
         return float(math.exp(logsumexp(finite)))
 
 
-# the one binomial table kept: {(p, k_min, k_max): table}
-_binomial_tables: dict = {}
+_binomial_tables: dict = {}  # {(p, k_min, k_max): the one table kept}
 
 
 def _binomial_log_table(p: float, k_min: int, k_max: int, j_hi: int) -> np.ndarray:
@@ -179,6 +178,9 @@ def _binomial_log_table(p: float, k_min: int, k_max: int, j_hi: int) -> np.ndarr
     return table[:, : j_hi + 1]
 
 
+_BLOCK_TERMS = 1 << 17  # terms summed at once: 8 bytes each, twice over
+
+
 def convolution_log_matrix(
     a: float, b: float, k_max: int, n_hi: int, k_min: int = 0, cols=None
 ) -> np.ndarray:
@@ -187,7 +189,9 @@ def convolution_log_matrix(
 
     Entry (k, n) sums log B(k, a)(j) + log Poisson(b)(n - j) over j, each term
     the same float in any block, in one log-sum-exp in order of j: so it is
-    the same float whatever rows and columns its block holds."""
+    the same float whatever rows and columns its block holds. Rows are summed
+    in chunks of at most _BLOCK_TERMS terms (or one row), each without its
+    trailing terms j > k, which add exact zeros."""
     if k_min < 0:
         raise ValueError(f"trial count must be non-negative, got {k_min}")
     cols = np.arange(n_hi + 1) if cols is None else np.asarray(cols)
@@ -200,7 +204,14 @@ def convolution_log_matrix(
     # where j > min(k, cols[c])
     binom = _binomial_log_table(a, k_min, k_max, j_top).T
     pois = pois[cols - lo - np.arange(j_top + 1)[:, None]]
-    return logsumexp_axis0(binom[:, :, None] + pois[:, None, :])
+    out = np.empty((k_max + 1 - k_min, len(cols)))
+    step = max(1, _BLOCK_TERMS // pois.size)
+    for r in range(0, len(out), step):
+        j_end = min(j_top, k_min + r + step - 1) + 1
+        out[r : r + step] = logsumexp_axis0(
+            binom[:j_end, r : r + step, None] + pois[:j_end, None, :]
+        )
+    return out
 
 
 def convolve(k: int, a: float, b: float, deficit: float) -> CertifiedPmf:

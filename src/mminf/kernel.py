@@ -151,9 +151,7 @@ def _kernel_log_entry(lam: float, mu: float, t: float, k: int, n: int) -> float:
     return float(_kernel_log_block(lam, mu, t, k, k, n)[0, 0])
 
 
-def _kernel_log_block(
-    lam: float, mu: float, t: float, k_min: int, k_max: int, n: int
-) -> np.ndarray:
+def _kernel_log_block(lam, mu, t, k_min, k_max, n):
     # log P(n | k) for k_min <= k <= k_max, as a one-column block
     params = QueueParams(lam, mu)
     b = params.rho * params.q(t)
@@ -180,9 +178,7 @@ def kernel_log_matrix(params: QueueParams, t: float, k_max: int, n_max: int) -> 
     """Array G[k, n] of log transition masses for k <= k_max, n <= n_max."""
     if t <= 0:
         raise ValueError(f"time must be positive, got {t}")
-    p = params.p(t)
-    b = params.rho * params.q(t)
-    return convolution_log_matrix(p, b, k_max, n_max)
+    return convolution_log_matrix(params.p(t), params.rho * params.q(t), k_max, n_max)
 
 
 def mehler_row(

@@ -9,7 +9,8 @@ import pytest
 import mminf.bounds
 import mminf.cli
 from mminf.cli import RunConfig, main, parse_args, parse_observable
-from mminf.kernel import QueueParams, kernel_entry
+from mminf.distributions import binomial_log_pmf, poisson_log_pmf
+from mminf.kernel import QueueParams
 from mminf.oracle import uniformized_kernel
 
 # exit code and SHA-256 of each default CSV; a change of digest is deliberate
@@ -328,9 +329,17 @@ class TestGolden:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+def scalar_mass(k, a, b, n):
+    return math.fsum(
+        math.exp(binomial_log_pmf(k, a, j) + poisson_log_pmf(b, n - j))
+        for j in range(min(k, n) + 1)
+    )
+
+
 def test_oracle_rows_match_scalar_route(tmp_path):
-    # oracle-check takes its discrepancies from kernel_log_matrix rows; one
-    # kernel_entry at a time must give the same numbers within 1e-15
+    # oracle-check takes its discrepancies from kernel_log_matrix rows; masses
+    # summed term by term from the scalar pmfs must give the same numbers
+    # within 1e-15
     rhos, ps, kmax, nmax, big_n, tol = [0.5, 5.0], [0.1, 0.9], 10, 20, 60, 1e-10
     out = tmp_path / "oracle.csv"
     argv = ["oracle-check", "--kmax", str(kmax), "--nmax", str(nmax),
@@ -351,8 +360,9 @@ def test_oracle_rows_match_scalar_route(tmp_path):
             t = params.t_for_p(p)
             mat = uniformized_kernel(params, t, big_n, tol)
             for k in range(kmax + 1):
+                p_t, b = params.p(t), params.rho * params.q(t)
                 disc = max(
-                    abs(math.exp(kernel_entry(params, t, k, n)) - mat[k, n])
+                    abs(scalar_mass(k, p_t, b, n) - mat[k, n])
                     for n in range(nmax + 1)
                 )
                 assert got[(rho, p, k)] == pytest.approx(disc, abs=1e-15)

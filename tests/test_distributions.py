@@ -1,6 +1,7 @@
 """Distribution-layer tests: log pmfs, certified windows, convolution."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import mminf.distributions as distributions_module
 from mminf.distributions import (
     LOG_ZERO,
     binomial_log_pmf,
@@ -184,6 +186,38 @@ def test_block_row_equals_single_row(a, b, k_max, n_hi, k_range, points):
         for k in (k_min, k_hi):
             for n in cols:
                 assert kernel_entry(params, t, k, n) == g[k, n]
+
+
+@given(
+    a=st.floats(min_value=0.0, max_value=1.0),
+    b=st.floats(min_value=0.0, max_value=40.0),
+    k_max=st.integers(0, 40),
+    n_hi=st.integers(0, 70),
+    k_min=st.integers(0, 40),
+    budget=st.integers(1, 5000),
+)
+@settings(max_examples=100, deadline=None)
+def test_block_chunks_give_the_same_floats(a, b, k_max, n_hi, k_min, budget):
+    # splitting the rows into chunks, each dropping its trailing -inf terms,
+    # leaves every entry the same float
+    k_min = min(k_min, k_max)
+    whole = convolution_log_matrix(a, b, k_max, n_hi, k_min)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(distributions_module, "_BLOCK_TERMS", budget)
+        chunked = convolution_log_matrix(a, b, k_max, n_hi, k_min)
+    assert np.array_equal(chunked, whole)
+
+
+def test_block_memory_is_bounded():
+    # a 201 x 202 block sums 201 terms per entry: 8.2M terms, 65 MB at once;
+    # chunked by rows it peaks at a few MB
+    tracemalloc.start()
+    try:
+        convolution_log_matrix(0.4, 3.0, 200, 201)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 class TestAgainstRationalOracle:

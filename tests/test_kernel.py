@@ -292,12 +292,31 @@ def test_chapman_kolmogorov():
         assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-12)
 
 
+def running_sum_kernel_log(params, t, k, n):
+    """log G_k(n) from the scalar binomial_log_pmf + poisson_log_pmf terms,
+    added one at a time in order of j by a Python loop: a reference that
+    shares no code with the kernel's block."""
+    p_t, b = params.p(t), params.rho * params.q(t)
+    terms = [
+        binomial_log_pmf(k, p_t, j) + poisson_log_pmf(b, n - j)
+        for j in range(min(k, n) + 1)
+    ]
+    m = max(terms)
+    if m == LOG_ZERO:
+        return LOG_ZERO
+    s = 0.0
+    for x in np.exp(np.array(terms) - m):
+        s += x
+    return m + np.log(s)
+
+
 def test_kernel_log_matrix_consistent_with_entries():
     t = 0.9
     g = kernel_log_matrix(PARAMS, t, 6, 12)
     for k in range(7):
         for n in range(13):
-            assert g[k, n] == kernel_entry(PARAMS, t, k, n)
+            assert g[k, n] == running_sum_kernel_log(PARAMS, t, k, n)
+            assert kernel_entry(PARAMS, t, k, n) == g[k, n]
 
 
 @given(
@@ -328,26 +347,10 @@ def test_kernel_column_is_matrix_column(rho, p, k_max, n, k_min):
 )
 @settings(max_examples=60, deadline=None)
 def test_kernel_column_is_running_sum_of_scalar_terms(rho, p, k_max, n, k_min):
-    # the reference adds the scalar binomial_log_pmf + poisson_log_pmf terms
-    # of each entry one at a time, in order of j
     k_min = min(k_min, k_max)
     params = QueueParams(lam=rho, mu=1.0)
     t = params.t_for_p(p)
-    p_t, b = params.p(t), params.rho * params.q(t)
-    ref = []
-    for k in range(k_min, k_max + 1):
-        terms = np.array(
-            [binomial_log_pmf(k, p_t, j) + poisson_log_pmf(b, n - j)
-             for j in range(min(k, n) + 1)]
-        )
-        m = terms.max()
-        if m == LOG_ZERO:
-            ref.append(LOG_ZERO)
-            continue
-        s = 0.0
-        for x in np.exp(terms - m):
-            s += x
-        ref.append(m + np.log(s))
+    ref = [running_sum_kernel_log(params, t, k, n) for k in range(k_min, k_max + 1)]
     col = _kernel_column(params.lam, params.mu, t, k_min, k_max, n)
     assert np.array_equal(col, ref)
 
