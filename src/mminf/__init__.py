@@ -17,9 +17,7 @@ from .bounds import (
     verify_theorem,
 )
 from .distributions import (
-    CertifiedPmf,
     binomial_log_pmf,
-    convolve,
     poisson_log_pmf,
     poisson_window,
 )
@@ -29,7 +27,6 @@ from .kernel import (
     SemigroupValue,
     generator_apply,
     kernel_entry,
-    mehler_row,
     reversibility_defect,
     semigroup_apply,
 )

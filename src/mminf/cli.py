@@ -82,9 +82,10 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _add_common(p: argparse.ArgumentParser, jobs: bool = True):
+def _add_common(p: argparse.ArgumentParser, jobs: bool = True, strict: bool = True):
     p.add_argument("--out", type=str, default=None)
-    p.add_argument("--strict", action="store_true")
+    if strict:  # only commands with untestable verdicts can fail under it
+        p.add_argument("--strict", action="store_true")
     if jobs:  # only grid commands have cells to share among processes
         p.add_argument("--jobs", type=int, default=1)
 
@@ -131,7 +132,7 @@ def parse_args(argv) -> RunConfig:
     p.add_argument("--nmax", type=int, default=20)
     p.add_argument("--N", type=int, default=80)
     p.add_argument("--tol", type=float, default=1e-10)
-    _add_common(p)
+    _add_common(p, strict=False)
 
     p = sub.add_parser("sharpness", help="both sides of the sharp bound over t")
     p.add_argument("--rho", type=float, default=1.0)
@@ -140,7 +141,7 @@ def parse_args(argv) -> RunConfig:
     p.add_argument("--f", type=str, default="indicator:0..1")
     p.add_argument("--t", type=float, action="append")
     p.add_argument("--delta", type=float, default=1e-6)
-    _add_common(p, jobs=False)
+    _add_common(p, jobs=False, strict=False)
 
     p = sub.add_parser("sweep", help="verify-lemma over the default grid")
     p.add_argument("--rho", type=float, action="append")

@@ -1,16 +1,15 @@
-"""Log-domain Poisson and binomial laws and their certified windowed convolution.
+"""Log-domain Poisson and binomial laws, their convolution, and certified
+Poisson windows.
 
 All masses are stored and combined in the log domain; linear-domain products
 of small lattice masses underflow long before the inequality checks downstream
-stop being meaningful. Window truncation is certified: every finite window
-carries a provable upper bound on the discarded tail mass, obtained from a
-Chernoff bound refined by exact partial summation.
+stop being meaningful. Window truncation is certified: poisson_window bounds
+the discarded tail mass by a Chernoff bound refined by exact partial summation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -103,50 +102,6 @@ def poisson_window(rate: float, deficit: float) -> tuple[int, int]:
     return (0, best)
 
 
-@dataclass(frozen=True)
-class CertifiedPmf:
-    """A pmf on a finite window of the integers, stored as log-masses.
-
-    ``tail_deficit`` is a certified upper bound on the probability mass
-    outside the window, so the windowed mass always brackets 1 from below
-    by ``1 - tail_deficit`` (up to arithmetic rounding).
-    """
-
-    offset: int
-    log_masses: np.ndarray
-    tail_deficit: float
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "log_masses", np.asarray(self.log_masses, dtype=float)
-        )
-        if self.tail_deficit < 0:
-            raise ValueError("tail_deficit must be non-negative")
-
-    def __len__(self) -> int:
-        return len(self.log_masses)
-
-    @property
-    def support_end(self) -> int:
-        """Last index inside the window."""
-        return self.offset + len(self.log_masses) - 1
-
-    def log_mass(self, n: int) -> float:
-        if n < self.offset or n > self.support_end:
-            return LOG_ZERO
-        return float(self.log_masses[n - self.offset])
-
-    def mass(self, n: int) -> float:
-        lm = self.log_mass(n)
-        return 0.0 if lm == LOG_ZERO else math.exp(lm)
-
-    def windowed_mass(self) -> float:
-        finite = self.log_masses[np.isfinite(self.log_masses)]
-        if len(finite) == 0:
-            return 0.0
-        return float(math.exp(logsumexp(finite)))
-
-
 _binomial_tables: dict = {}  # {(p, k_min, k_max): the one table kept}
 
 
@@ -213,13 +168,3 @@ def convolution_log_matrix(
         )
     return out
 
-
-def convolve(k: int, a: float, b: float, deficit: float) -> CertifiedPmf:
-    """Certified windowed pmf of the convolution B(k, a) * Poisson(b).
-
-    The binomial factor has bounded support, so the tail of the convolution
-    beyond k + N is controlled by the certified Poisson tail beyond N.
-    """
-    _, n_pois = poisson_window(b, deficit)
-    log_masses = convolution_log_matrix(a, b, k, k + n_pois, k_min=k)[0]
-    return CertifiedPmf(offset=0, log_masses=log_masses, tail_deficit=deficit)

@@ -16,12 +16,10 @@ import numpy as np
 
 from .distributions import (
     LOG_ZERO,
-    CertifiedPmf,
     convolution_log_matrix,
-    convolve,
-    logsumexp,
     logsumexp_axis0,
     poisson_log_pmf,
+    poisson_window,
 )
 
 DEFAULT_DEFICIT = 1e-12
@@ -181,23 +179,6 @@ def kernel_log_matrix(params: QueueParams, t: float, k_max: int, n_max: int) -> 
     return convolution_log_matrix(params.p(t), params.rho * params.q(t), k_max, n_max)
 
 
-def mehler_row(
-    params: QueueParams, t: float, k: int, deficit: float = DEFAULT_DEFICIT
-) -> CertifiedPmf:
-    """Full certified row of the time-t kernel started from k.
-
-    At t = 0 the row degenerates to the Dirac mass at k; the downstream
-    inequality checks are vacuous there.
-    """
-    if t < 0:
-        raise ValueError(f"time must be non-negative, got {t}")
-    if k < 0:
-        raise ValueError(f"initial state must be non-negative, got {k}")
-    if t == 0:
-        return CertifiedPmf(offset=k, log_masses=np.array([0.0]), tail_deficit=0.0)
-    return convolve(k, params.p(t), params.rho * params.q(t), deficit)
-
-
 def semigroup_apply(
     params: QueueParams,
     t: float,
@@ -235,16 +216,8 @@ def log_semigroup_apply(
         raise ValueError(f"time must be positive, got {t}")
     if k < 0:
         raise ValueError(f"initial state must be non-negative, got {k}")
-    if f.is_table:
-        logs, _ = _log_semigroup_profile(params, t, f, k, k, deficit)
-        return float(logs[0])
-    pmf = mehler_row(params, t, k, deficit)
-    terms = []
-    for n in range(pmf.offset, pmf.support_end + 1):
-        v = f(n)
-        if v > 0:
-            terms.append(math.log(v) + pmf.log_mass(n))
-    return logsumexp(terms) if terms else LOG_ZERO
+    logs, _ = _log_semigroup_profile(params, t, f, k, k, deficit)
+    return float(logs[0])
 
 
 def _entry_log_error(log_mass, n_terms):
@@ -270,30 +243,36 @@ def _log_semigroup_profile(
 ) -> tuple[np.ndarray, float]:
     """log A_t f(n) for n = n_lo..n_hi, and an error bound valid for each value.
 
-    A table is summed over its support from kernel columns, in one row-wise
-    log-sum-exp; a callable is summed over the certified row of each n."""
+    f is summed over its points m in one row-wise log-sum-exp of
+    log f(m) + G[n, m]. A table's points are its support, read from cached
+    kernel columns. A callable's are the window 0..n_hi + N, read from one
+    block: row n is B(n, p) * Poisson(b), so beyond n + N <= n_hi + N it
+    holds at most the Poisson tail beyond N, which poisson_window bounds by
+    deficit; the sum then misses at most sup * deficit."""
     if f.is_table:
-        support = f.support
+        points = f.support
+        values = [f.table[m] for m in points]
         g = np.array(
-            [_kernel_column(params.lam, params.mu, t, n_lo, n_hi, m) for m in support]
+            [_kernel_column(params.lam, params.mu, t, n_lo, n_hi, m) for m in points]
         )
-        log_f = np.array([math.log(f.table[m]) for m in support])
-        # terms[i, n] = log f(m_i) + G[n, m_i], summed over the support
-        logs = logsumexp_axis0(g + log_f[:, None])
-        finite = np.abs(logs[logs > LOG_ZERO])
-        per_value_err = (
-            _entry_log_error(finite.max(), len(support)) if finite.size else 0.0
-        )
-        return logs, float(per_value_err)
-    logs = np.array(
-        [log_semigroup_apply(params, t, f, n, deficit) for n in range(n_lo, n_hi + 1)]
-    )
-    n_terms = 64
-    per_value_err = 0.0
-    for lv in logs:
-        if lv > LOG_ZERO:
-            trunc = f.sup * deficit / math.exp(max(lv, LOG_MASS_FLOOR))
-            per_value_err = max(per_value_err, _entry_log_error(lv, n_terms) + trunc)
+        trunc = 0.0
+    else:
+        b = params.rho * params.q(t)
+        points = range(n_hi + poisson_window(b, deficit)[1] + 1)
+        values = [f(m) for m in points]
+        g = convolution_log_matrix(params.p(t), b, n_hi, points[-1], k_min=n_lo).T
+        trunc = f.sup * deficit
+    log_f = np.array([math.log(v) if v > 0 else LOG_ZERO for v in values])
+    # terms[i, n] = log f(m_i) + G[n, m_i], summed over the points
+    logs = logsumexp_axis0(g + log_f[:, None])
+    finite = logs[logs > LOG_ZERO]
+    if finite.size == 0:
+        return logs, 0.0
+    # each term at its own worst value: the rounding error grows with
+    # |log value|, the relative truncation error as the value falls
+    per_value_err = _entry_log_error(float(np.abs(finite).max()), len(points))
+    if trunc:
+        per_value_err += trunc / math.exp(max(finite.min(), LOG_MASS_FLOOR))
     return logs, per_value_err
 
 
@@ -306,9 +285,7 @@ def generator_apply(params: QueueParams, f: Observable, n: int) -> float:
     return up + down
 
 
-def reversibility_defect(
-    params: QueueParams, t: float, i: int, j: int, deficit: float = DEFAULT_DEFICIT
-) -> float:
+def reversibility_defect(params: QueueParams, t: float, i: int, j: int) -> float:
     """|P(i|j) pi(j) - P(j|i) pi(i)| under the stationary Poisson(rho) law."""
     if i == j:
         return 0.0

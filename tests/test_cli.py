@@ -23,9 +23,9 @@ GOLDEN = {
     "verify-theorem": (
         0, "86c293d9b75666b24ae0008243d17684014c3c323bb4a87fb7b2e90617f4980c"),
     "oracle-check": (
-        0, "11a0380da09bc4c7ca6e32b1d7b95da289f74eb4240182ae5b18cfa5d61e4cc3"),
+        0, "6473ec87a0eaa8978b8819879c482e2cac4a57dcb37585bfbc4d1d5bc76f1132"),
     "sharpness": (
-        0, "2dc123ec857169233a62ef4cd8002c99695230efbbb9e1accd62955d63bfe8ba"),
+        0, "80f74dc30bd426f5541c02d6b269eab3e71a1ea1f2b48b26a5ad4642fb79c2cb"),
     "verify-lemma": (
         1, "ce92723cb541cf371b5e9efa9c6c7118af26b76618711136997f172a06e22428"),
 }
@@ -116,6 +116,8 @@ class TestBadInput:
             ["verify-generalized", "--nmax", "0"],
             ["verify-theorem", "--nmax", "0"],
             ["sharpness", "--jobs", "3"],
+            ["oracle-check", "--strict"],
+            ["sharpness", "--strict"],
         ],
         ids=" ".join,
     )

@@ -15,7 +15,6 @@ from mminf.distributions import (
     LOG_ZERO,
     binomial_log_pmf,
     convolution_log_matrix,
-    convolve,
     logsumexp,
     logsumexp_axis0,
     poisson_log_pmf,
@@ -124,31 +123,31 @@ class TestPoissonWindow:
 
 
 class TestConvolve:
+    """Rows of the block B(k, a) * Poisson(b)."""
+
     def test_binomial_zero_trials_is_poisson(self):
-        pmf = convolve(0, 0.3, 2.0, 1e-12)
-        for n in range(len(pmf)):
-            assert pmf.log_mass(n) == pytest.approx(
-                poisson_log_pmf(2.0, n), abs=1e-14
-            )
+        row = convolution_log_matrix(0.3, 2.0, 0, 40)[0]
+        for n in range(41):
+            assert row[n] == pytest.approx(poisson_log_pmf(2.0, n), abs=1e-14)
 
     def test_poisson_dirac_side(self):
-        pmf = convolve(1, 0.3, 0.0, 1e-12)
-        assert pmf.mass(0) == pytest.approx(0.7, rel=1e-15)
-        assert pmf.mass(1) == pytest.approx(0.3, rel=1e-15)
+        row = np.exp(convolution_log_matrix(0.3, 0.0, 1, 3, k_min=1)[0])
+        assert row[0] == pytest.approx(0.7, rel=1e-15)
+        assert row[1] == pytest.approx(0.3, rel=1e-15)
+        assert row[2:].tolist() == [0.0, 0.0]
 
     def test_two_trials_fair_coin_at_zero(self):
-        pmf = convolve(2, 0.5, 1.0, 1e-12)
-        assert pmf.mass(0) == pytest.approx(0.25 * math.exp(-1.0), rel=1e-13)
+        lm = convolution_log_matrix(0.5, 1.0, 2, 0, k_min=2)[0, 0]
+        assert math.exp(lm) == pytest.approx(0.25 * math.exp(-1.0), rel=1e-13)
 
     def test_windowed_mass_brackets_one(self):
+        # row k holds all but deficit of its mass in 0..k + N, N the Poisson
+        # window: the bound the semigroup of a callable rests on
         for k, a, b in [(0, 0.0, 1.0), (3, 0.4, 2.5), (10, 0.9, 0.3)]:
-            pmf = convolve(k, a, b, 1e-10)
-            m = pmf.windowed_mass()
-            assert 1.0 - 1e-10 <= m <= 1.0 + len(pmf) * 2.3e-16
-
-    def test_deficit_recorded(self):
-        pmf = convolve(2, 0.5, 1.0, 1e-9)
-        assert pmf.tail_deficit == 1e-9
+            _, n_pois = poisson_window(b, 1e-10)
+            row = convolution_log_matrix(a, b, k, k + n_pois, k_min=k)[0]
+            m = math.exp(logsumexp(row))
+            assert 1.0 - 1e-10 <= m <= 1.0 + len(row) * 2.3e-16
 
 
 @given(
@@ -250,11 +249,11 @@ def test_logsumexp_all_neg_inf():
 
 def test_law_validation():
     with pytest.raises(ValueError):
-        convolve(2, 0.5, -0.5, 1e-12)
+        convolution_log_matrix(0.5, -0.5, 2, 4)
     with pytest.raises(ValueError):
-        convolve(-1, 0.5, 1.0, 1e-12)
+        convolution_log_matrix(0.5, 1.0, 2, 4, k_min=-1)
     with pytest.raises(ValueError):
-        convolve(2, 1.5, 1.0, 1e-12)
+        convolution_log_matrix(1.5, 1.0, 2, 4)
 
 
 def running_sum_logsumexp_axis0(arr):

@@ -16,16 +16,17 @@ from mminf.distributions import (
     _binomial_log_table,
     binomial_log_pmf,
     poisson_log_pmf,
+    poisson_window,
 )
 from mminf.kernel import (
     Observable,
     QueueParams,
     _kernel_column,
+    _log_semigroup_profile,
     generator_apply,
     kernel_entry,
     kernel_log_matrix,
     log_semigroup_apply,
-    mehler_row,
     reversibility_defect,
     semigroup_apply,
 )
@@ -108,34 +109,48 @@ class TestKernelEntry:
 
 
 class TestMehlerRow:
+    """Rows of the kernel, B(k, p) * Poisson(rho (1-p)), and the semigroup of
+    a bounded callable, which sums over them on a certified window."""
+
     def test_k_zero_row_is_poisson(self):
+        # A_t 1{m}(0) is the Poisson(b) mass at m for m in the window
         t = 0.7
-        row = mehler_row(PARAMS, t, 0, 1e-12)
         b = PARAMS.rho * PARAMS.q(t)
-        for n in range(row.support_end + 1):
-            assert row.log_mass(n) == pytest.approx(
-                poisson_log_pmf(b, n), abs=1e-14
+        for m in range(poisson_window(b, 1e-12)[1] + 1):
+            point = Observable.from_callable(lambda n, m=m: float(n == m), sup=1.0)
+            assert log_semigroup_apply(PARAMS, t, point, 0) == pytest.approx(
+                poisson_log_pmf(b, m), abs=1e-14
             )
 
     def test_row_stochasticity(self):
+        # the window of row k holds all but deficit of its mass:
+        # 1 - deficit - rounding <= A_t 1(k) <= 1 + rounding
         params = QueueParams(lam=2.0, mu=1.0)
-        row = mehler_row(params, math.log(2.0), 3, 1e-12)
-        m = row.windowed_mass()
-        assert 1.0 - 1e-12 <= m <= 1.0 + len(row) * 2.3e-16
+        t, deficit = math.log(2.0), 1e-12
+        one = Observable.from_callable(lambda n: 1.0, sup=1.0)
+        _, n_pois = poisson_window(params.rho * params.q(t), deficit)
+        for k in (0, 3, 40):
+            value = math.exp(log_semigroup_apply(params, t, one, k, deficit))
+            rounding = (k + n_pois + 1) * 2.3e-16
+            assert 1.0 - deficit - rounding <= value <= 1.0 + rounding
 
     def test_time_zero_degenerate(self):
-        row = mehler_row(PARAMS, 0.0, 5)
-        assert (row.offset, len(row)) == (5, 1)
-        assert row.mass(5) == 1.0
-        assert row.tail_deficit == 0.0
+        # at t = 0 the row is the Dirac mass at k
+        f = Observable.from_callable(lambda n: 1.0 / (n + 1.0), sup=1.0)
+        out = semigroup_apply(PARAMS, 0.0, f, 5)
+        assert (out.value, out.error) == (1.0 / 6.0, 0.0)
 
     def test_negative_time_rejected(self):
+        one = Observable.from_callable(lambda n: 1.0, sup=1.0)
         with pytest.raises(ValueError):
-            mehler_row(PARAMS, -0.1, 2)
+            semigroup_apply(PARAMS, -0.1, one, 2)
+        with pytest.raises(ValueError):
+            log_semigroup_apply(PARAMS, -0.1, one, 2)
 
     def test_positive_masses_for_positive_time(self):
-        row = mehler_row(PARAMS, 1.0, 4, 1e-10)
-        assert np.all(np.isfinite(row.log_masses))
+        _, n_pois = poisson_window(PARAMS.rho * PARAMS.q(1.0), 1e-10)
+        row = kernel_log_matrix(PARAMS, 1.0, 4, 4 + n_pois)[4]
+        assert np.all(np.isfinite(row))
 
 
 class TestSemigroup:
@@ -163,6 +178,24 @@ class TestSemigroup:
             out = semigroup_apply(PARAMS, t, f, k)
             expected = k * PARAMS.p(t) + PARAMS.rho * PARAMS.q(t)
             assert out.value == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("rho,p", [(0.5, 0.1), (2.5, 0.55), (10.0, 0.9)])
+    def test_callable_matches_table_on_its_window(self, rho, p):
+        # a callable is summed over the window 0..n_hi + N; a table of the
+        # same values there is summed over the same points, without a
+        # truncation error: the same floats, so within the callable's budget
+        params = QueueParams(lam=rho, mu=1.0)
+        t, n_hi, deficit = params.t_for_p(p), 12, 1e-12
+        func = lambda n: 1.0 / (1.0 + (n - 5.0) ** 2)  # noqa: E731
+        _, n_pois = poisson_window(params.rho * params.q(t), deficit)
+        table = {m: func(m) for m in range(n_hi + n_pois + 1)}
+        f = Observable.from_callable(func, sup=1.0)
+        logs, err = _log_semigroup_profile(params, t, f, 0, n_hi, deficit)
+        ref, ref_err = _log_semigroup_profile(
+            params, t, Observable.from_table(table), 0, n_hi, deficit
+        )
+        assert np.array_equal(logs, ref)
+        assert err > ref_err > 0.0
 
     def test_time_zero(self):
         f = Observable.from_table({2: 5.0})

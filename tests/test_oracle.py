@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mminf.kernel import QueueParams, kernel_entry, mehler_row
+from mminf.kernel import QueueParams, kernel_entry, kernel_log_matrix
 from mminf.oracle import (
     SimulationConfig,
     empirical_pmf,
@@ -53,9 +53,9 @@ class TestUniformizedKernel:
     def test_matches_mehler_row(self):
         t = 0.7
         mat = uniformized_kernel(PARAMS, t, 60, 1e-10)
-        row = mehler_row(PARAMS, t, 3, 1e-12)
+        row = np.exp(kernel_log_matrix(PARAMS, t, 3, 15)[3])
         for n in range(16):
-            assert mat[3, n] == pytest.approx(row.mass(n), abs=1e-9)
+            assert mat[3, n] == pytest.approx(row[n], abs=1e-9)
 
     def test_boundary_leak_stability(self):
         # adding 20 states must not move any interior entry by more than tol
@@ -145,6 +145,20 @@ class TestExactRational:
         d2 = (rho * (1 - p) ** 2 + p) ** 2
         assert ratio > 2 * d2 / (d2 - p * p)
         assert exact_lemma_check(rho, p, 2, 1) == [(2, 1)]
+
+    @pytest.mark.parametrize("p", [Fraction(1, 10), Fraction(1, 2), Fraction(9, 10)])
+    @pytest.mark.parametrize(
+        "x",
+        [Fraction(1414, 1000), Fraction(1415, 1000), Fraction(173, 100),
+         Fraction(174, 100), Fraction(2)],
+    )
+    def test_sharp_constant_fails_at_n_one_iff_x_squared_exceeds_k(self, p, x):
+        # with x = rho (1-p)^2 / p, row k breaks the paper's inequality at
+        # n = 1 iff (x + 1) sqrt(k) > k + x, that is iff (k - 1)(x^2 - k) > 0:
+        # never for x <= sqrt(2), and at x = 2 row k = 4 is an exact tie
+        rho = x * p / (1 - p) ** 2
+        expected = [(k, 1) for k in range(2, 9) if x * x > k]
+        assert exact_lemma_check(rho, p, 8, 1) == expected
 
     def test_generalized_check_reduction(self):
         # a=p, b=rho(1-p) reproduces the kernel inequality exactly
