@@ -8,7 +8,6 @@ is set and some cases were untestable at this precision.
 from __future__ import annotations
 
 import argparse
-import csv
 import itertools
 import math
 import os
@@ -61,10 +60,10 @@ def parse_observable(spec: str) -> Observable:
     """Parse 'table:0=1,1=3,4=2' or 'indicator:0..3' / 'indicator:0,1,5'."""
     kind, _, body = spec.partition(":")
     if kind == "table" and body:
-        table = {}
-        for item in body.split(","):
-            n_str, _, v_str = item.partition("=")
-            table[int(n_str)] = float(v_str)
+        items = [item.partition("=") for item in body.split(",")]
+        table = {int(n_str): float(v_str) for n_str, _, v_str in items}
+        if len(table) < len(items):
+            raise ValueError(f"{spec!r} gives a point twice")
         return Observable.from_table(table)
     if kind == "indicator" and body:
         if ".." in body:
@@ -74,12 +73,6 @@ def parse_observable(spec: str) -> Observable:
             points = [int(x) for x in body.split(",")]
         return Observable.indicator(points)
     raise ValueError(f"cannot parse observable spec {spec!r}")
-
-
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.17g}"
-    return str(x)
 
 
 def _add_common(p: argparse.ArgumentParser, jobs: bool = True, strict: bool = True):
@@ -98,13 +91,16 @@ def parse_args(argv) -> RunConfig:
     )
     sub = parser.add_subparsers(dest="command")
 
-    p = sub.add_parser("verify-lemma", help="kernel semi-ultra-log-convexity")
-    p.add_argument("--rho", type=float, action="append")
-    p.add_argument("--p", type=float, action="append")
-    p.add_argument("--mu", type=float, default=1.0)
-    p.add_argument("--kmax", type=int, default=30)
-    p.add_argument("--nmax", type=int, default=60)
-    _add_common(p)
+    lemma = argparse.ArgumentParser(add_help=False)  # verify-lemma and sweep
+    lemma.add_argument("--rho", type=float, action="append")
+    lemma.add_argument("--p", type=float, action="append")
+    lemma.add_argument("--mu", type=float, default=1.0)
+    lemma.add_argument("--kmax", type=int, default=30)
+    lemma.add_argument("--nmax", type=int, default=60)
+    _add_common(lemma)
+    sub.add_parser(
+        "verify-lemma", help="kernel semi-ultra-log-convexity", parents=[lemma]
+    )
 
     p = sub.add_parser("verify-theorem", help="semigroup semi-log-convexity")
     p.add_argument("--rho", type=float, action="append")
@@ -143,13 +139,7 @@ def parse_args(argv) -> RunConfig:
     p.add_argument("--delta", type=float, default=1e-6)
     _add_common(p, jobs=False, strict=False)
 
-    p = sub.add_parser("sweep", help="verify-lemma over the default grid")
-    p.add_argument("--rho", type=float, action="append")
-    p.add_argument("--p", type=float, action="append")
-    p.add_argument("--mu", type=float, default=1.0)
-    p.add_argument("--kmax", type=int, default=30)
-    p.add_argument("--nmax", type=int, default=60)
-    _add_common(p)
+    sub.add_parser("sweep", help="verify-lemma over the default grid", parents=[lemma])
 
     if not argv:
         parser.print_help(sys.stderr)
@@ -193,6 +183,8 @@ def _validate(command, opts, parser):
         mu = opts["mu"]
         what = f"such that rho * {mu} is finite and positive"
         require("rho", lambda v: 0.0 < v * mu < math.inf, what)
+        what = f"such that the kernel's horizon -log(p) / {mu} is finite"
+        require("p", lambda v: -math.log(v) / mu < math.inf, what)
     if command == "oracle-check":
         need = max(opts["kmax"], opts["nmax"], 1)
         if opts["N"] < need:
@@ -207,18 +199,25 @@ def _validate(command, opts, parser):
 
 
 def _report_rows(report):
-    """CSV rows of a report's cases in key order, formatted from its arrays."""
-    rows = []
+    """A report's cases as CSV text in key order, formatted from its arrays,
+    and whether they hold a fail or an untestable verdict, read from the same
+    arrays (the exit code reads no other verdict)."""
+    lines = []
     for key, margins, budgets, testable in report.rows():
-        ids = [_fmt(x) for x in key]
+        head = "%.17g," * len(key) % key  # prints int keys as str() does
         cases = zip(itertools.count(1), margins, budgets, testable)
-        for n, margin, budget, ok in cases:
-            if ok:
-                verdict = "pass" if margin >= -budget else "fail"
-                rows.append([*ids, str(n), _fmt(margin), _fmt(budget), verdict])
-            else:
-                rows.append([*ids, str(n), "", "", "untestable"])
-    return rows
+        lines += [
+            f"{head}{n},{margin:.17g},{budget:.17g},"
+            f"{'pass' if margin >= -budget else 'fail'}\r\n"
+            if ok
+            else f"{head}{n},,,untestable\r\n"
+            for n, margin, budget, ok in cases
+        ]
+    verdicts = {
+        "pass" if report.verdict else "fail",
+        "pass" if report.testable.all() else "untestable",
+    }
+    return "".join(lines), verdicts
 
 
 def _lemma_cell(args):
@@ -248,16 +247,17 @@ def _oracle_cell(args):
     mat = uniformized_kernel(params, t, big_n, tol)
     exact = np.exp(kernel_log_matrix(params, t, kmax, nmax))
     discs = np.abs(exact - mat[: kmax + 1, : nmax + 1]).max(axis=1)
-    return [
-        [_fmt(rho), _fmt(p), str(k), _fmt(disc), _fmt(tol),
-         "pass" if disc <= 10.0 * tol else "fail"]
+    text = "".join(
+        f"{rho:.17g},{p:.17g},{k},{disc:.17g},{tol:.17g},"
+        f"{'pass' if disc <= 10.0 * tol else 'fail'}\r\n"
         for k, disc in enumerate(discs.tolist())
-    ]
+    )
+    return text, {"pass" if (discs <= 10.0 * tol).all() else "fail"}
 
 
 def _grid(command, o):
     """The worker of a grid command, its cells (one worker call each) and the
-    CSV header of the rows the worker returns."""
+    CSV header line of the rows the worker returns."""
 
     # distinct values, ascending: cells run, and rows come out, in grid order
     def product(*names):
@@ -265,37 +265,38 @@ def _grid(command, o):
             *(sorted(set(_values(command, o, name))) for name in names)
         )
 
-    checked = ["margin", "error_budget", "verdict"]
+    checked = "margin,error_budget,verdict\r\n"
     if command in ("verify-lemma", "sweep"):
         cells = [
             (rho, p, o["mu"], o["kmax"], o["nmax"]) for rho, p in product("rho", "p")
         ]
-        return _lemma_cell, cells, ["rho", "p", "k", "n"] + checked
+        return _lemma_cell, cells, "rho,p,k,n," + checked
     if command == "verify-theorem":
         cells = [
             (rho, p, o["mu"], o["nmax"], o["f"], o["bound"])
             for rho, p in product("rho", "p")
         ]
-        return _theorem_cell, cells, ["rho", "p", "n"] + checked
+        return _theorem_cell, cells, "rho,p,n," + checked
     if command == "verify-generalized":
         cells = [
             (a, b, o["kmax"], o["nmax"])
             for a, b in product("a", "b")
             if not (a == 0.0 and b == 0.0)
         ]
-        return _generalized_cell, cells, ["a", "b", "k", "n"] + checked
+        return _generalized_cell, cells, "a,b,k,n," + checked
     if command == "oracle-check":
         cells = [
             (rho, p, o["mu"], o["kmax"], o["nmax"], o["N"], o["tol"])
             for rho, p in product("rho", "p")
         ]
-        header = ["rho", "p", "k", "max_abs_discrepancy", "tol", "verdict"]
+        header = "rho,p,k,max_abs_discrepancy,tol,verdict\r\n"
         return _oracle_cell, cells, header
     raise ValueError(f"unknown command {command!r}")
 
 
 def _run_cells(cells, worker, jobs):
-    """Each cell's rows, in cell order, computed as they are asked for."""
+    """Each cell's text and verdicts, in cell order, computed as they are
+    asked for."""
     jobs = min(jobs, len(cells))  # the pool starts every worker up front
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -310,16 +311,12 @@ def run(config: RunConfig) -> int:
         t_vals = sorted(set(_values("sharpness", o, "t")))
         params = QueueParams(lam=o["rho"] * o["mu"], mu=o["mu"])
         f = parse_observable(o["f"])
-        rows = []
-        t_final = t_vals[-1]
-        for t, lhs, rhs in sharpness_decay(params, f, o["n"], t_vals):
-            if t == t_final:
-                verdict = "pass" if max(lhs, rhs) <= o["delta"] else "fail"
-            else:
-                verdict = "na"
-            rows.append([_fmt(t), _fmt(lhs), _fmt(rhs), verdict])
-        header = ["t", "laplacian_abs", "bound_abs", "verdict"]
-        chunks = [rows]
+        *decay, (t, lhs, rhs) = sharpness_decay(params, f, o["n"], t_vals)
+        verdict = "pass" if max(lhs, rhs) <= o["delta"] else "fail"
+        row = "{:.17g},{:.17g},{:.17g},{}\r\n".format
+        text = "".join(row(*case, "na") for case in decay) + row(t, lhs, rhs, verdict)
+        header = "t,laplacian_abs,bound_abs,verdict\r\n"
+        chunks = [(text, {verdict})]
     else:
         worker, cells, header = _grid(config.command, o)
         chunks = _run_cells(cells, worker, o["jobs"])
@@ -340,12 +337,10 @@ def run(config: RunConfig) -> int:
         return 2
     verdicts = set()
     with fh:
-        fh.write(f"# mminf {__version__} {config.command} {echo}\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for rows in chunks:  # a cell's rows are written as soon as it finishes
-            writer.writerows(rows)
-            verdicts.update(row[-1] for row in rows)
+        fh.write(f"# mminf {__version__} {config.command} {echo}\n{header}")
+        for text, cell_verdicts in chunks:  # each cell is written as it finishes
+            fh.write(text)
+            verdicts |= cell_verdicts
 
     if "fail" in verdicts:
         return 1

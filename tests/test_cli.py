@@ -118,6 +118,11 @@ class TestBadInput:
             ["sharpness", "--jobs", "3"],
             ["oracle-check", "--strict"],
             ["sharpness", "--strict"],
+            # rho * mu is positive, but t = -log(p) / mu overflows to inf
+            ["verify-lemma", "--rho", "3", "--mu", "1e-320", "--p", "0.5"],
+            ["verify-theorem", "--mu", "1e-308"],
+            ["oracle-check", "--rho", "1e300", "--mu", "1e-308"],
+            ["verify-theorem", "--f", "table:0=1,0=2"],
         ],
         ids=" ".join,
     )
@@ -244,12 +249,30 @@ class TestRun:
         assert rows[0] == rows[1]
         assert len(rows[0].splitlines()) == 1 + 2
 
-    def test_jobs_parallel_matches_serial(self, tmp_path):
-        base = ["verify-lemma", "--rho", "0.5", "--rho", "1", "--p", "0.5",
-                "--p", "0.7", "--kmax", "3", "--nmax", "5"]
+    @pytest.mark.parametrize(
+        "code, base",
+        [
+            # each grid holds a failing cell; x = rho (1 - p)^2 / p > sqrt(2)
+            (1, ["verify-lemma", "--rho", "0.5", "--rho", "2", "--p", "0.1",
+                 "--p", "0.7", "--kmax", "3", "--nmax", "5"]),
+            (1, ["verify-theorem", "--rho", "0.5", "--rho", "2", "--p", "0.1",
+                 "--p", "0.7", "--nmax", "4", "--f", "table:2=1"]),
+            (1, ["verify-generalized", "--a", "0.5", "--a", "0.9", "--b", "0.5",
+                 "--b", "2", "--kmax", "3", "--nmax", "4"]),
+            # discrepancies of ~1e-16 exceed 10 * tol
+            (1, ["oracle-check", "--rho", "0.5", "--rho", "2", "--p", "0.5",
+                 "--kmax", "3", "--nmax", "5", "--N", "40", "--tol", "1e-18"]),
+            # untestable rows and no failure
+            (3, ["verify-generalized", "--a", "0.25", "--a", "0.5", "--b", "0",
+                 "--kmax", "4", "--nmax", "10", "--strict"]),
+        ],
+        ids=lambda v: v[0] if isinstance(v, list) else str(v),
+    )
+    def test_jobs_parallel_matches_serial(self, code, base, tmp_path):
+        # each worker's text and verdicts cross the process pool
         a, b = tmp_path / "serial.csv", tmp_path / "par.csv"
-        run_cli(base + ["--out", str(a)])
-        run_cli(base + ["--jobs", "2", "--out", str(b)])
+        assert run_cli(base + ["--out", str(a)]) == code
+        assert run_cli(base + ["--jobs", "2", "--out", str(b)]) == code
         assert a.read_bytes() == b.read_bytes()
 
     def test_pool_never_outgrows_the_grid(self, tmp_path, monkeypatch):
