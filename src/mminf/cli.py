@@ -141,16 +141,16 @@ def parse_args(argv) -> RunConfig:
 
     sub.add_parser("sweep", help="verify-lemma over the default grid", parents=[lemma])
 
-    if not argv:
-        parser.print_help(sys.stderr)
-        raise SystemExit(2)
-    ns = parser.parse_args(argv)
+    ns, extra = parser.parse_known_args(argv)
     if ns.command is None:
         parser.print_help(sys.stderr)
         raise SystemExit(2)
     opts = vars(ns).copy()
     command = opts.pop("command")
-    _validate(command, opts, parser)
+    command_parser = sub.choices[command]  # its errors show its own usage
+    if extra:
+        command_parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    _validate(command, opts, command_parser)
     return RunConfig(command=command, options=opts)
 
 

@@ -20,6 +20,7 @@ from .distributions import poisson_log_pmf, poisson_window
 from .kernel import QueueParams
 
 MAX_EVENTS_PER_PATH = 10_000_000
+_POWER_FLOATS = 1 << 22  # 32 MiB of powers of P per uniformization at most
 
 
 @dataclass(frozen=True)
@@ -43,15 +44,9 @@ def truncated_generator(params: QueueParams, n_states: int) -> np.ndarray:
     rather than assumed away."""
     if n_states < 2:
         raise ValueError("need at least states {0, 1}")
-    n = n_states - 1
-    q = np.zeros((n_states, n_states))
-    for i in range(n_states):
-        if i < n:
-            q[i, i + 1] = params.lam
-        if i > 0:
-            q[i, i - 1] = i * params.mu
-        q[i, i] = -(q[i].sum())
-    return q
+    births = np.full(n_states - 1, params.lam)
+    q = np.diag(births, 1) + np.diag(np.arange(1, n_states) * params.mu, -1)
+    return q - np.diag(q.sum(axis=1))
 
 
 def uniformized_kernel(
@@ -69,18 +64,22 @@ def uniformized_kernel(
         raise ValueError(f"time must be positive, got {t}")
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    q = truncated_generator(params, N + 1)
     big = params.lam + N * params.mu
-    p_mat = np.eye(N + 1) + q / big
     _, m_hi = poisson_window(big * t, tol)
-    acc = np.zeros((N + 1, N + 1))
-    power = np.eye(N + 1)
-    for m in range(m_hi + 1):
-        w = math.exp(poisson_log_pmf(big * t, m))
-        if w > 0.0:
-            acc += w * power
-        if m < m_hi:
-            power = power @ p_mat
+    # Paterson-Stockmeyer: blocks of s ~ sqrt(m_hi) weights against P^0..P^(s-1),
+    # joined by Horner in P^s from the top block down, take ~2 sqrt(m_hi)
+    # products, not m_hi. Weights and entries of P are >= 0: nothing cancels.
+    s = max(1, min(math.isqrt(m_hi + 1), _POWER_FLOATS // (N + 1) ** 2))
+    powers = np.empty((s + 1, N + 1, N + 1))
+    powers[0] = np.eye(N + 1)
+    powers[1] = powers[0] + truncated_generator(params, N + 1) / big
+    for i in range(1, s):
+        np.matmul(powers[i], powers[1], out=powers[i + 1])
+    w = np.exp([poisson_log_pmf(big * t, m) for m in range(m_hi + 1)])
+    *blocks, top = [w[lo : lo + s] for lo in range(0, m_hi + 1, s)]
+    acc = np.tensordot(top, powers[: len(top)], axes=1)
+    for block in reversed(blocks):
+        acc = acc @ powers[s] + np.tensordot(block, powers[:s], axes=1)
     boundary = float(acc[: max(1, N // 2), N].max())
     if boundary > 100.0 * tol:
         warnings.warn(
@@ -159,14 +158,7 @@ def log_fraction(fr: Fraction) -> float:
     """Accurate log of a positive rational, safe for huge numerators."""
     if fr <= 0:
         raise ValueError("log_fraction requires a positive rational")
-    return _log_int(fr.numerator) - _log_int(fr.denominator)
-
-
-def _log_int(n: int) -> float:
-    if n < (1 << 53):
-        return math.log(n)
-    shift = n.bit_length() - 53
-    return math.log(n >> shift) + shift * math.log(2.0)
+    return math.log(fr.numerator) - math.log(fr.denominator)  # ints of any size
 
 
 def exact_lemma_check(
@@ -193,20 +185,27 @@ def exact_generalized_check(
 ) -> list:
     """Cleared-denominator exact check of the generalized inequality at
     rational (a, b): n (D^2 - a^2) h(n)^2 <= (n+1) D^2 h(n+1) h(n-1) with
-    D = (1-a) b + a. Returns the list of (k, n) violations."""
-    a = Fraction(a)
-    b = Fraction(b)
-    d = (1 - a) * b + a
-    if d == 0:
+    D = (1-a) b + a. Returns the list of (k, n) violations.
+
+    Runs on integers: for a = A/a_d, b = B/b_d in lowest terms, H_k(n) =
+    n! a_d^k b_d^n h_k(n) has H_0(n) = B^n and, one trial more, Pascal's rule
+    H_{k+1}(n) = (a_d - A) H_k(n) + A b_d n H_k(n-1). With n!, a_d^k, b_d^n
+    cancelled the check reads (D^2 - a^2) H(n)^2 <= D^2 H(n+1) H(n-1)."""
+    a, b = Fraction(a), Fraction(b)
+    if not 0 <= a <= 1 or b < 0:
+        raise ValueError(f"need a in [0,1] and b >= 0, got a = {a}, b = {b}")
+    d2 = ((1 - a) * b + a) ** 2
+    if d2 == 0:
         raise ValueError("degenerate input: a = 0 and b = 0")
-    d2 = d * d
-    a2 = a * a
+    x = d2 - a * a
+    lhs, rhs = x.numerator * d2.denominator, d2.numerator * x.denominator
+    stay, step = a.denominator - a.numerator, a.numerator * b.denominator
+    h = [b.numerator**n for n in range(n_max + 2)]
     failures = []
     for k in range(k_max + 1):
-        h = exact_rational_convolution(k, a, b, n_max + 1)
         for n in range(1, n_max + 1):
-            lhs = n * (d2 - a2) * h[n] ** 2
-            rhs = (n + 1) * d2 * h[n + 1] * h[n - 1]
-            if lhs > rhs:
+            if lhs * h[n] ** 2 > rhs * h[n + 1] * h[n - 1]:
                 failures.append((k, n))
+        pairs = enumerate(zip([0] + h, h))  # n, (H(n-1), H(n))
+        h = [stay * hn + step * n * hm for n, (hm, hn) in pairs]
     return failures

@@ -23,7 +23,7 @@ GOLDEN = {
     "verify-theorem": (
         0, "86c293d9b75666b24ae0008243d17684014c3c323bb4a87fb7b2e90617f4980c"),
     "oracle-check": (
-        0, "6473ec87a0eaa8978b8819879c482e2cac4a57dcb37585bfbc4d1d5bc76f1132"),
+        0, "19d4e99e369b81627a697ce05a5147ea9cfd092511ca174ea2b77acfd65bd8e1"),
     "sharpness": (
         0, "80f74dc30bd426f5541c02d6b269eab3e71a1ea1f2b48b26a5ad4642fb79c2cb"),
     "verify-lemma": (
@@ -131,6 +131,9 @@ class TestBadInput:
             main(argv + ["--out", str(tmp_path / "x.csv")])
         assert exc.value.code == 2
         err = capsys.readouterr().err
+        # the usage shown is that of the command run, for errors that argparse
+        # finds and for those that _validate finds
+        assert err.startswith(f"usage: mminf {argv[0]} ")
         assert "error:" in err
         assert "Traceback" not in err
         assert not (tmp_path / "x.csv").exists()

@@ -6,7 +6,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from mminf import oracle
+from mminf.distributions import poisson_log_pmf, poisson_window
 from mminf.kernel import QueueParams, kernel_entry, kernel_log_matrix
 from mminf.oracle import (
     SimulationConfig,
@@ -21,6 +25,33 @@ from mminf.oracle import (
 )
 
 PARAMS = QueueParams(lam=1.0, mu=1.0)
+
+
+def term_by_term_uniformization(params, t, N, tol):
+    """exp(t Q_N) as the Poisson(Lam t) mixture of powers of P, one matrix
+    product per term, and the last term m_hi of the certified window."""
+    big = params.lam + N * params.mu
+    p_mat = np.eye(N + 1) + truncated_generator(params, N + 1) / big
+    _, m_hi = poisson_window(big * t, tol)
+    acc = np.zeros((N + 1, N + 1))
+    power = np.eye(N + 1)
+    for m in range(m_hi + 1):
+        acc += math.exp(poisson_log_pmf(big * t, m)) * power
+        power = power @ p_mat
+    return acc, m_hi
+
+
+def fraction_check(a, b, k_max, n_max):
+    """The generalized inequality's violations, decided on the rational
+    masses with the denominators n, n + 1 cleared."""
+    d2 = ((1 - a) * b + a) ** 2
+    failures = []
+    for k in range(k_max + 1):
+        h = exact_rational_convolution(k, a, b, n_max + 1)
+        for n in range(1, n_max + 1):
+            if n * (d2 - a * a) * h[n] ** 2 > (n + 1) * d2 * h[n + 1] * h[n - 1]:
+                failures.append((k, n))
+    return failures
 
 
 class TestTruncatedGenerator:
@@ -63,6 +94,39 @@ class TestUniformizedKernel:
         a = uniformized_kernel(PARAMS, t, 40, 1e-10)
         b = uniformized_kernel(PARAMS, t, 60, 1e-10)
         assert np.abs(a[:21, :21] - b[:21, :21]).max() <= 1e-10
+
+    @pytest.mark.parametrize(
+        "rho,p,N",
+        [(0.5, 0.5, 40), (2.0, 0.1, 80), (10.0, 0.9, 60), (1.0, 0.05, 30)],
+    )
+    def test_matches_term_by_term_sum(self, rho, p, N):
+        params = QueueParams(lam=rho, mu=1.0)
+        t = params.t_for_p(p)
+        ref, _ = term_by_term_uniformization(params, t, N, 1e-10)
+        assert np.abs(uniformized_kernel(params, t, N, 1e-10) - ref).max() <= 1e-14
+
+    def test_single_term_window(self):
+        t = 1e-14
+        ref, m_hi = term_by_term_uniformization(PARAMS, t, 10, 1e-10)
+        assert m_hi == 0
+        assert np.abs(uniformized_kernel(PARAMS, t, 10, 1e-10) - ref).max() <= 1e-14
+
+    @pytest.mark.parametrize("rho,t,N", [(5.0, 2.0, 5), (0.25, 0.1, 1)])
+    def test_leaking_boundary_still_warns(self, rho, t, N):
+        params = QueueParams(lam=rho, mu=1.0)
+        ref, _ = term_by_term_uniformization(params, t, N, 1e-10)
+        with pytest.warns(RuntimeWarning, match="boundary leak"):
+            mat = uniformized_kernel(params, t, N, 1e-10)
+        assert np.abs(mat - ref).max() <= 1e-14
+
+    def test_capped_power_table(self, monkeypatch):
+        # with room for only 3 powers of P, the blocks hold 3 weights each
+        params = QueueParams(lam=2.0, mu=1.0)
+        ref, m_hi = term_by_term_uniformization(params, 1.5, 20, 1e-10)
+        monkeypatch.setattr(oracle, "_POWER_FLOATS", 3 * 21**2)
+        assert m_hi > 9
+        mat = uniformized_kernel(params, 1.5, 20, 1e-10)
+        assert np.abs(mat - ref).max() <= 1e-14
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -159,6 +223,28 @@ class TestExactRational:
         rho = x * p / (1 - p) ** 2
         expected = [(k, 1) for k in range(2, 9) if x * x > k]
         assert exact_lemma_check(rho, p, 8, 1) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.fractions(0, 1, max_denominator=12),
+        st.fractions(0, 8, max_denominator=12),
+        st.integers(0, 6),
+        st.integers(0, 8),
+    )
+    @example(a=Fraction(0), b=Fraction(3, 2), k_max=4, n_max=6)
+    @example(a=Fraction(1), b=Fraction(5, 7), k_max=4, n_max=6)
+    @example(a=Fraction(1), b=Fraction(0), k_max=4, n_max=6)
+    @example(a=Fraction(2, 5), b=Fraction(0), k_max=5, n_max=7)
+    @example(a=Fraction(1, 10), b=Fraction(9, 5), k_max=6, n_max=4)
+    @example(a=Fraction(0), b=Fraction(0), k_max=3, n_max=3)
+    def test_integer_route_matches_fractions(self, a, b, k_max, n_max):
+        if a == 0 and b == 0:
+            with pytest.raises(ValueError, match="degenerate"):
+                exact_generalized_check(a, b, k_max, n_max)
+        else:
+            assert exact_generalized_check(a, b, k_max, n_max) == fraction_check(
+                a, b, k_max, n_max
+            )
 
     def test_generalized_check_reduction(self):
         # a=p, b=rho(1-p) reproduces the kernel inequality exactly
