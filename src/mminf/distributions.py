@@ -35,7 +35,12 @@ def logsumexp_axis0(arr: np.ndarray) -> np.ndarray:
     m = arr.max(axis=0)
     ok = m > LOG_ZERO
     e = arr - np.where(ok, m, 0.0)
-    s = np.add.accumulate(np.exp(e, out=e), axis=0, out=e)[-1]
+    s = np.exp(e, out=e)[0]
+    if s.size < 256:  # narrow slices: one accumulate costs less than a loop
+        s = np.add.accumulate(e, axis=0, out=e)[-1]
+    else:  # wide ones: one add each, with no partial sums written back
+        for row in e[1:]:
+            s += row
     return m + np.log(s, out=np.full_like(m, LOG_ZERO), where=ok)
 
 
@@ -48,6 +53,17 @@ def poisson_log_pmf(rate: float, n: int) -> float:
     if rate == 0:
         return 0.0 if n == 0 else LOG_ZERO
     return n * math.log(rate) - rate - math.lgamma(n + 1)
+
+
+def poisson_log_row(rate: float, lo: int, hi: int) -> np.ndarray:
+    """poisson_log_pmf(rate, n) for lo <= n <= hi, hi >= 0, and -inf for
+    n < 0: the same floats, by the same operations on a vector of n."""
+    if rate < 0:
+        raise ValueError(f"Poisson rate must be non-negative, got {rate}")
+    n = np.arange(max(lo, 0), hi + 1)
+    lgamma = np.array(list(map(math.lgamma, (n + 1).tolist())))
+    row = n * math.log(rate) - rate - lgamma if rate else np.where(n > 0, LOG_ZERO, 0.0)
+    return row if lo >= 0 else np.concatenate([np.full(-lo, LOG_ZERO), row])
 
 
 def binomial_log_pmf(k: int, a: float, j: int) -> float:
@@ -63,6 +79,41 @@ def binomial_log_pmf(k: int, a: float, j: int) -> float:
     if a == 1.0:
         return 0.0 if j == k else LOG_ZERO
     return math.log(math.comb(k, j)) + j * math.log(a) + (k - j) * math.log1p(-a)
+
+
+_log_comb_tables: dict = {}  # {(k_min, k_max): the one table kept}
+
+
+def _log_comb_table(k_min: int, k_max: int, j_hi: int) -> np.ndarray:
+    """Read-only log C(k, j) at [k - k_min, j] for k_min <= k <= k_max and
+    j <= j_hi, -inf for j > k. Only the last row range's table is kept, for
+    every p; it widens to at least twice its width, never past k_max + 1, so
+    each entry is computed once and it is at most twice the widest slice."""
+    table = _log_comb_tables.get((k_min, k_max), np.empty((k_max + 1 - k_min, 0)))
+    width = table.shape[1]
+    if width <= j_hi:
+        new = range(width, min(k_max + 1, max(j_hi + 1, 2 * width)))
+        table = np.hstack([table, [
+            [math.log(math.comb(k, j)) if j <= k else LOG_ZERO for j in new]
+            for k in range(k_min, k_max + 1)
+        ]])
+        table.flags.writeable = False
+        _log_comb_tables.clear()
+        _log_comb_tables[(k_min, k_max)] = table
+    return table[:, : j_hi + 1]
+
+
+def binomial_log_rows(a: float, k_min: int, k_max: int, j_hi: int) -> np.ndarray:
+    """binomial_log_pmf(k, a, j) at [k - k_min, j] for k_min <= k <= k_max and
+    j <= j_hi <= k_max: the same floats, by the same operations on log C(k, j)."""
+    if not 0.0 <= a <= 1.0:
+        raise ValueError(f"success probability must lie in [0,1], got {a}")
+    k = np.arange(k_min, k_max + 1)[:, None]
+    j = np.arange(j_hi + 1)
+    if a == 0.0 or a == 1.0:  # the Dirac mass at j = 0 or at j = k
+        return np.where(j == k * (a == 1.0), 0.0, LOG_ZERO)
+    log_comb = _log_comb_table(k_min, k_max, j_hi)
+    return log_comb + j * math.log(a) + (k - j) * math.log1p(-a)
 
 
 def _poisson_chernoff_log_tail(rate: float, n: int) -> float:
@@ -87,12 +138,11 @@ def poisson_window(rate: float, deficit: float) -> tuple[int, int]:
     n0 = max(int(math.ceil(rate)) + 1, 2)
     while _poisson_chernoff_log_tail(rate, n0 + 1) > log_deficit + math.log(0.5):
         n0 *= 2
-    pmf = np.exp(np.array([poisson_log_pmf(rate, n) for n in range(n0 + 1)]))
-    chernoff_rest = math.exp(_poisson_chernoff_log_tail(rate, n0 + 1))
+    pmf = np.exp(poisson_log_row(rate, 0, n0))
     # tail[N] bounds the mass beyond N; summed back-to-front so it never relies
     # on cancellation, with a guard absorbing the relative error of each
     # exp(log-pmf) evaluation
-    tail = chernoff_rest
+    tail = math.exp(_poisson_chernoff_log_tail(rate, n0 + 1))
     best = n0
     for n in range(n0, 0, -1):
         tail += pmf[n] * (1.0 + 1e-12)
@@ -102,38 +152,7 @@ def poisson_window(rate: float, deficit: float) -> tuple[int, int]:
     return (0, best)
 
 
-_binomial_tables: dict = {}  # {(p, k_min, k_max): the one table kept}
-
-
-def _binomial_log_table(p: float, k_min: int, k_max: int, j_hi: int) -> np.ndarray:
-    """Read-only B[k - k_min, j] = binomial_log_pmf(k, p, j) for
-    k_min <= k <= k_max and j <= j_hi, -inf for j > k.
-
-    Only the table of the last (p, k_min, k_max) is kept, so the columns of
-    one cell share it. When a column needs more of it, it widens to at least
-    twice its width, and never past k_max + 1: each entry is computed once,
-    and the table is at most twice as wide as the widest slice asked of it."""
-    key = (p, k_min, k_max)
-    table = _binomial_tables.get(key)
-    width = 0 if table is None else table.shape[1]
-    if width <= j_hi:
-        new_width = min(k_max + 1, max(j_hi + 1, 2 * width))
-        grown = np.full((k_max + 1 - k_min, new_width), LOG_ZERO)
-        if table is not None:
-            grown[:, :width] = table
-        # rows k < width are complete: their entries j > k are -inf
-        for k in range(max(k_min, width), k_max + 1):
-            j_end = min(k, new_width - 1) + 1
-            grown[k - k_min, width:j_end] = [
-                binomial_log_pmf(k, p, j) for j in range(width, j_end)
-            ]
-        grown.flags.writeable = False
-        _binomial_tables.clear()
-        _binomial_tables[key] = table = grown
-    return table[:, : j_hi + 1]
-
-
-_BLOCK_TERMS = 1 << 17  # terms summed at once: 8 bytes each, twice over
+_BLOCK_TERMS = 1 << 15  # terms summed at once: 8 bytes each, twice over
 
 
 def convolution_log_matrix(
@@ -144,27 +163,28 @@ def convolution_log_matrix(
 
     Entry (k, n) sums log B(k, a)(j) + log Poisson(b)(n - j) over j, each term
     the same float in any block, in one log-sum-exp in order of j: so it is
-    the same float whatever rows and columns its block holds. Rows are summed
-    in chunks of at most _BLOCK_TERMS terms (or one row), each without its
-    trailing terms j > k, which add exact zeros."""
+    the same float whatever rows and columns its block holds. The block is
+    summed in chunks of rows and columns of at most _BLOCK_TERMS terms (or one
+    entry's terms, if more), each without its trailing terms j > min(k, n),
+    which add exact zeros."""
     if k_min < 0:
         raise ValueError(f"trial count must be non-negative, got {k_min}")
     cols = np.arange(n_hi + 1) if cols is None else np.asarray(cols)
     j_top = min(k_max, n_hi)
     lo = int(cols[0]) - j_top  # pois holds the points lo..n_hi, -inf below 0
-    pois = np.array(
-        [poisson_log_pmf(b, m) if m >= 0 else LOG_ZERO for m in range(lo, n_hi + 1)]
-    )
-    # terms[j, k, c] = log B(k, a)(j) + log Poisson(b)(cols[c] - j), -inf
-    # where j > min(k, cols[c])
-    binom = _binomial_log_table(a, k_min, k_max, j_top).T
-    pois = pois[cols - lo - np.arange(j_top + 1)[:, None]]
+    pois = poisson_log_row(b, lo, n_hi)
+    binom = np.ascontiguousarray(binomial_log_rows(a, k_min, k_max, j_top).T)
     out = np.empty((k_max + 1 - k_min, len(cols)))
-    step = max(1, _BLOCK_TERMS // pois.size)
-    for r in range(0, len(out), step):
-        j_end = min(j_top, k_min + r + step - 1) + 1
-        out[r : r + step] = logsumexp_axis0(
-            binom[:j_end, r : r + step, None] + pois[:j_end, None, :]
-        )
+    c_step = max(1, _BLOCK_TERMS // (j_top + 1))
+    for c in range(0, len(cols), c_step):
+        chunk = cols[c : c + c_step]
+        # terms[j, k, c] = log B(k, a)(j) + log Poisson(b)(chunk[c] - j)
+        j_cols = min(j_top, int(chunk[-1])) + 1
+        pois_j = pois[chunk - lo - np.arange(j_cols)[:, None]]
+        r_step = max(1, _BLOCK_TERMS // pois_j.size)
+        for r in range(0, len(out), r_step):
+            j_end = min(j_cols, k_min + r + r_step)
+            out[r : r + r_step, c : c + c_step] = logsumexp_axis0(
+                binom[:j_end, r : r + r_step, None] + pois_j[:j_end, None, :]
+            )
     return out
-

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .distributions import poisson_log_pmf, poisson_window
+from .distributions import poisson_log_row, poisson_window
 from .kernel import QueueParams
 
 MAX_EVENTS_PER_PATH = 10_000_000
@@ -75,7 +75,7 @@ def uniformized_kernel(
     powers[1] = powers[0] + truncated_generator(params, N + 1) / big
     for i in range(1, s):
         np.matmul(powers[i], powers[1], out=powers[i + 1])
-    w = np.exp([poisson_log_pmf(big * t, m) for m in range(m_hi + 1)])
+    w = np.exp(poisson_log_row(big * t, 0, m_hi))
     *blocks, top = [w[lo : lo + s] for lo in range(0, m_hi + 1, s)]
     acc = np.tensordot(top, powers[: len(top)], axes=1)
     for block in reversed(blocks):

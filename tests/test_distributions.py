@@ -11,17 +11,20 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import mminf.distributions as distributions_module
+import mminf.oracle as oracle_module
 from mminf.distributions import (
     LOG_ZERO,
     binomial_log_pmf,
+    binomial_log_rows,
     convolution_log_matrix,
     logsumexp,
     logsumexp_axis0,
     poisson_log_pmf,
+    poisson_log_row,
     poisson_window,
 )
 from mminf.kernel import QueueParams, kernel_entry, kernel_log_matrix
-from mminf.oracle import exact_rational_convolution, log_fraction
+from mminf.oracle import exact_rational_convolution, log_fraction, uniformized_kernel
 
 
 class TestPoissonLogPmf:
@@ -207,6 +210,75 @@ def test_block_chunks_give_the_same_floats(a, b, k_max, n_hi, k_min, budget):
     assert np.array_equal(chunked, whole)
 
 
+@given(
+    a=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    k_min=st.integers(0, 60),
+    rows=st.integers(0, 40),
+    j_hi=st.integers(0, 100),
+)
+@example(a=0.0, k_min=0, rows=5, j_hi=5)
+@example(a=1.0, k_min=2, rows=5, j_hi=7)
+@example(a=5e-324, k_min=0, rows=30, j_hi=30)
+@settings(max_examples=100, deadline=None)
+def test_binomial_log_rows_are_the_scalar_floats(a, k_min, rows, j_hi):
+    # exact equality, the -inf past j = k included
+    k_max = k_min + rows
+    j_hi = min(j_hi, k_max)
+    ref = [
+        [binomial_log_pmf(k, a, j) for j in range(j_hi + 1)]
+        for k in range(k_min, k_max + 1)
+    ]
+    assert np.array_equal(binomial_log_rows(a, k_min, k_max, j_hi), ref)
+
+
+def scalar_poisson_log_row(rate, lo, hi):
+    """The Poisson log-masses at lo..hi from scalar calls, -inf below 0."""
+    return np.array(
+        [poisson_log_pmf(rate, n) if n >= 0 else LOG_ZERO for n in range(lo, hi + 1)]
+    )
+
+
+@given(
+    rate=st.one_of(
+        st.sampled_from([0.0, 1e-4, 5.0, 1e4]),
+        st.floats(0.0, 50.0),
+        st.floats(0.0, 1e6),
+    ),
+    lo=st.integers(-60, 60),
+    width=st.integers(0, 120),
+)
+@example(rate=0.0, lo=-5, width=10)
+@example(rate=3.0, lo=-8, width=9)
+@settings(max_examples=100, deadline=None)
+def test_poisson_log_row_is_the_scalar_floats(rate, lo, width):
+    # exact equality, the -inf padding below 0 included
+    hi = max(lo + width, 0)
+    got = poisson_log_row(rate, lo, hi)
+    assert np.array_equal(got, scalar_poisson_log_row(rate, lo, hi))
+
+
+@pytest.mark.parametrize("rate", [0.0, 1e-4, 5.0, 1e4])
+def test_poisson_window_pinned_to_scalar_masses(rate, monkeypatch):
+    deficits = [0.5, 1e-3, 1e-10, 1e-15]
+    windows = [poisson_window(rate, d) for d in deficits]
+    hi = windows[-1][1]
+    # the masses a window sums, and the uniformization weights
+    ref = np.exp(scalar_poisson_log_row(rate, 0, hi))
+    assert np.array_equal(np.exp(poisson_log_row(rate, 0, hi)), ref)
+    monkeypatch.setattr(distributions_module, "poisson_log_row", scalar_poisson_log_row)
+    assert [poisson_window(rate, d) for d in deficits] == windows
+
+
+@pytest.mark.parametrize("rate", [1e-4, 5.0, 1e4])
+def test_uniformization_weights_pinned_to_scalar_masses(rate, monkeypatch):
+    # the kernel is the same array when its Poisson weights are scalar calls
+    params, n_states = QueueParams(lam=1.5, mu=1.0), 30
+    t = rate / (params.lam + n_states * params.mu)
+    fast = uniformized_kernel(params, t, n_states, 1e-12)
+    monkeypatch.setattr(oracle_module, "poisson_log_row", scalar_poisson_log_row)
+    assert np.array_equal(uniformized_kernel(params, t, n_states, 1e-12), fast)
+
+
 def test_block_memory_is_bounded():
     # a 201 x 202 block sums 201 terms per entry: 8.2M terms, 65 MB at once;
     # chunked by rows it peaks at a few MB
@@ -288,11 +360,12 @@ def log_blocks(draw):
     return arr
 
 
-def _seeded_block():
-    # 40 rows of one size: running and pairwise sums differ in 4 of its 11
-    # finite columns
+def _seeded_block(columns=12):
+    # 40 rows of one size: running and pairwise sums differ in 4 of the 11
+    # finite columns of the default; 300 columns take the loop over wide
+    # slices, where drawn blocks take the accumulate
     rng = np.random.default_rng(7)
-    arr = rng.uniform(-3.0, 3.0, (40, 12))
+    arr = rng.uniform(-3.0, 3.0, (40, columns))
     arr[rng.random(arr.shape) < 0.1] = LOG_ZERO
     arr[:, 5] = LOG_ZERO
     return arr
@@ -301,6 +374,7 @@ def _seeded_block():
 @given(arr=log_blocks(), pad=st.integers(1, 30))
 @example(arr=_seeded_block(), pad=1)
 @example(arr=_seeded_block()[:, :5], pad=9)
+@example(arr=_seeded_block(300), pad=2)
 @settings(max_examples=300, deadline=None)
 def test_logsumexp_axis0_is_running_sum(arr, pad):
     # the same floats in any layout, and with -inf rows appended

@@ -2,6 +2,8 @@
 reversibility, Chapman-Kolmogorov consistency."""
 
 import math
+import tracemalloc
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -13,8 +15,9 @@ import mminf.distributions as distributions_module
 from mminf.bounds import sharpness_decay
 from mminf.distributions import (
     LOG_ZERO,
-    _binomial_log_table,
+    _log_comb_table,
     binomial_log_pmf,
+    binomial_log_rows,
     poisson_log_pmf,
     poisson_window,
 )
@@ -388,55 +391,84 @@ def test_kernel_column_is_running_sum_of_scalar_terms(rho, p, k_max, n, k_min):
     assert np.array_equal(col, ref)
 
 
-def test_binomial_log_table_read_only():
-    table = _binomial_log_table(0.3, 2, 6, 3)
+def test_log_comb_table_read_only():
+    table = _log_comb_table(2, 6, 3)
     assert table.shape == (5, 4)
     assert not table.flags.writeable
     with pytest.raises(ValueError):
         table[2, 1] = 0.0
-    assert np.shares_memory(_binomial_log_table(0.3, 2, 6, 1), table)
-    assert table[4, 2] == binomial_log_pmf(6, 0.3, 2)
+    assert np.shares_memory(_log_comb_table(2, 6, 1), table)
+    assert table[4, 2] == math.log(math.comb(6, 2))
     assert table[0, 3] == LOG_ZERO
 
 
 @pytest.fixture
-def binomial_calls(monkeypatch):
-    """Every (k, p, j) the binomial table asks binomial_log_pmf for."""
+def comb_calls(monkeypatch):
+    """Every (k, j) the distributions module asks math.comb for, starting
+    from no kept log C(k, j) table."""
     calls = []
 
-    def counted(k, p, j):
-        calls.append((k, p, j))
-        return binomial_log_pmf(k, p, j)
+    def counted(k, j):
+        calls.append((k, j))
+        return math.comb(k, j)
 
-    monkeypatch.setattr(distributions_module, "binomial_log_pmf", counted)
+    counting_math = types.SimpleNamespace(**{**vars(math), "comb": counted})
+    monkeypatch.setattr(distributions_module, "math", counting_math)
+    monkeypatch.setattr(distributions_module, "_log_comb_tables", {})
     return calls
 
 
-def test_binomial_log_table_widens_computing_each_entry_once(binomial_calls):
-    p, k_min, k_max = 0.45, 3, 40
+def test_log_comb_table_widens_computing_each_entry_once(comb_calls):
+    # one table for every p: widening and a new p compute no entry twice
+    k_min, k_max = 3, 40
     widths = []
-    for j_hi in (2, 5, 6, 1, 30, 40):
-        table = _binomial_log_table(p, k_min, k_max, j_hi)
-        assert table.shape == (k_max + 1 - k_min, j_hi + 1)
-        widths.append(table.base.shape[1])
+    for p, j_hi in zip((0.45, 0.1, 0.45, 0.9, 0.3, 0.7), (2, 5, 6, 1, 30, 40)):
+        rows = binomial_log_rows(p, k_min, k_max, j_hi)
+        assert rows.shape == (k_max + 1 - k_min, j_hi + 1)
+        (table,) = distributions_module._log_comb_tables.values()
+        widths.append(table.shape[1])
         for k in range(k_min, k_max + 1):
-            for j in range(j_hi + 1):
-                assert table[k - k_min, j] == binomial_log_pmf(k, p, j)
+            for j in range(min(k, j_hi) + 1):
+                scalar = (
+                    math.log(math.comb(k, j))
+                    + j * math.log(p)
+                    + (k - j) * math.log1p(-p)
+                )
+                assert rows[k - k_min, j] == scalar
+            assert (rows[k - k_min, k + 1 :] == LOG_ZERO).all()
     # each width is the asked j_hi + 1, or twice the last, capped at k_max + 1
     assert widths == [3, 6, 12, 12, 31, 41]
-    assert len(binomial_calls) == len(set(binomial_calls))
-    assert len(binomial_calls) == sum(k + 1 for k in range(k_min, k_max + 1))
+    assert len(comb_calls) == len(set(comb_calls))
+    assert len(comb_calls) == sum(k + 1 for k in range(k_min, k_max + 1))
 
 
-def test_semigroup_tables_sized_to_the_rows_and_support(binomial_calls):
-    # three rows near n = 2000 of a one-point support read a 3 x 1 table,
-    # not the triangle of every row up to n + 1
+def test_semigroup_tables_sized_to_the_rows_and_support(comb_calls):
+    # three rows near n = 2000 of a one-point support read one 3 x 1 table
+    # for all three t, not the triangle of every row up to n + 1
     params = QueueParams(lam=1.7, mu=1.0)
-    ts = [0.5, 1.0, 2.0]
-    sharpness_decay(params, Observable.indicator([0]), 2000, ts)
-    assert sorted({j for _, _, j in binomial_calls}) == [0]
-    assert len(binomial_calls) == 3 * len(ts)
-    binomial_calls.clear()
+    sharpness_decay(params, Observable.indicator([0]), 2000, [0.5, 1.0, 2.0])
+    assert sorted(comb_calls) == [(1999, 0), (2000, 0), (2001, 0)]
+    comb_calls.clear()
     log_semigroup_apply(params, 0.75, Observable.indicator([0, 1]), 3000)
-    p = params.p(0.75)
-    assert sorted(binomial_calls) == [(3000, p, 0), (3000, p, 1)]
+    assert sorted(comb_calls) == [(3000, 0), (3000, 1)]
+    (table,) = distributions_module._log_comb_tables.values()
+    assert table.shape == (1, 2)
+
+
+def test_large_row_callable_memory_is_bounded():
+    # one row at k = 2000 over a window of ~2,020 points sums ~4M terms; in
+    # chunks of rows and columns it peaks near 1 MB, where one gather of all
+    # its Poisson terms took 97 MB. The value is the float it had before.
+    params = QueueParams(lam=1.7, mu=1.0)
+    f = Observable.from_callable(lambda n: 1.0 / (1.0 + n), sup=1.0)
+    value = float.fromhex("-0x1.b68ce8a339da0p+2")
+    # the first call computes the 2,001 log C(2000, j), whose big integers
+    # tracemalloc would make slow to trace
+    assert log_semigroup_apply(params, 0.75, f, 2000) == value
+    tracemalloc.start()
+    try:
+        assert log_semigroup_apply(params, 0.75, f, 2000) == value
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
