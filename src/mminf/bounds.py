@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import count, repeat
 from typing import NamedTuple
 
@@ -155,15 +155,20 @@ class VerificationReport:
     def cases(self) -> list:
         """Every case as a CaseResult, in key order; built on first read."""
         # tuple.__new__ fills each record in C, without a Python-level
-        # CaseResult.__new__ call per case
-        record = partial(tuple.__new__, CaseResult)
-        return [
-            record((key + (n,), margin, budget, True))
-            if ok
-            else record((key + (n,), math.nan, 0.0, False))
-            for key, margins, budgets, testable in self.rows()
-            for n, margin, budget, ok in zip(count(1), margins, budgets, testable)
-        ]
+        # CaseResult.__new__ call per case; the records of a row whose cases
+        # are all testable are keyed and filled by zip and map alone
+        new, cases = tuple.__new__, []
+        for key, margins, budgets, testable in self.rows():
+            keys = zip(*map(repeat, key), count(1))  # key + (n,), n = 1, 2, ...
+            fields = zip(keys, margins, budgets, testable)
+            if all(testable):
+                cases += map(new, repeat(CaseResult), fields)
+            else:  # an untestable case keeps no margin and no budget
+                cases += [
+                    new(CaseResult, f if f[3] else (f[0], math.nan, 0.0, False))
+                    for f in fields
+                ]
+        return cases
 
     @property
     def verdict(self) -> bool:
@@ -249,9 +254,13 @@ def verify_theorem(
     logs, per_value_err = _log_semigroup_profile(params, t, f, 0, n_max + 1, deficit)
     lm, l0, lp = logs[:-2], logs[1:-1], logs[2:]
     floor = LOG_MASS_FLOOR + math.log(max(f.sup, 1e-300))
-    testable = np.minimum(np.minimum(lm, l0), lp) >= floor
-    with np.errstate(invalid="ignore"):  # -inf - -inf where untestable
+    if np.minimum.reduce(logs) >= floor:  # lm, l0, lp cover every value
+        testable = np.ones(n_max, dtype=bool)
         margins = (lp + lm - 2.0 * l0) - bound
+    else:
+        testable = np.minimum(np.minimum(lm, l0), lp) >= floor
+        with np.errstate(invalid="ignore"):  # -inf - -inf where untestable
+            margins = (lp + lm - 2.0 * l0) - bound
     budget = 4.0 * per_value_err + 1e-14
     return VerificationReport((rho, p), margins, budget, testable)
 

@@ -32,15 +32,18 @@ def logsumexp_axis0(arr: np.ndarray) -> np.ndarray:
     add pairwise, in an order set by length and layout), so a result depends
     only on its own terms, and -inf terms add exact zeros. A slice that is
     -inf throughout sums to 0, and its log is skipped."""
-    m = arr.max(axis=0)
-    ok = m > LOG_ZERO
-    e = arr - np.where(ok, m, 0.0)
+    m = np.maximum.reduce(arr, axis=0)
+    # ok is None when every slice holds a finite term, as a rule: no masks
+    ok = None if np.minimum.reduce(m, axis=None) > LOG_ZERO else m > LOG_ZERO
+    e = arr - (m if ok is None else np.where(ok, m, 0.0))
     s = np.exp(e, out=e)[0]
     if s.size < 256:  # narrow slices: one accumulate costs less than a loop
         s = np.add.accumulate(e, axis=0, out=e)[-1]
     else:  # wide ones: one add each, with no partial sums written back
         for row in e[1:]:
             s += row
+    if ok is None:
+        return m + np.log(s)
     return m + np.log(s, out=np.full_like(m, LOG_ZERO), where=ok)
 
 

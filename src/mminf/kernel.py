@@ -90,6 +90,9 @@ class Observable:
             self.table = table
             self.func = None
             self.sup = max(table.values())
+            # the ascending support and its logs, read by every profile
+            self.points = sorted(n for n, v in table.items() if v > 0)
+            self.log_values = np.array([math.log(table[n]) for n in self.points])
         else:
             if sup is None or not (math.isfinite(sup) and sup > 0):
                 raise ValueError(
@@ -101,7 +104,7 @@ class Observable:
                     raise ValueError(f"observable is negative or NaN at {n}: {v}")
                 if v > sup:
                     raise ValueError(f"declared sup {sup} violated at {n}: {v}")
-            self.table = None
+            self.table = self.points = self.log_values = None
             self.func = func
             self.sup = float(sup)
 
@@ -125,7 +128,7 @@ class Observable:
     def support(self) -> list[int]:
         if not self.is_table:
             raise ValueError("callable observables have no finite support")
-        return sorted(n for n, v in self.table.items() if v > 0)
+        return list(self.points)
 
     def __call__(self, n: int) -> float:
         if n == -1:
@@ -250,8 +253,7 @@ def _log_semigroup_profile(
     holds at most the Poisson tail beyond N, which poisson_window bounds by
     deficit; the sum then misses at most sup * deficit."""
     if f.is_table:
-        points = f.support
-        values = [f.table[m] for m in points]
+        points, log_f = f.points, f.log_values
         g = np.array(
             [_kernel_column(params.lam, params.mu, t, n_lo, n_hi, m) for m in points]
         )
@@ -259,20 +261,23 @@ def _log_semigroup_profile(
     else:
         b = params.rho * params.q(t)
         points = range(n_hi + poisson_window(b, deficit)[1] + 1)
-        values = [f(m) for m in points]
+        log_f = np.array([math.log(v) if v > 0 else LOG_ZERO for v in map(f, points)])
         g = convolution_log_matrix(params.p(t), b, n_hi, points[-1], k_min=n_lo).T
         trunc = f.sup * deficit
-    log_f = np.array([math.log(v) if v > 0 else LOG_ZERO for v in values])
     # terms[i, n] = log f(m_i) + G[n, m_i], summed over the points
-    logs = logsumexp_axis0(g + log_f[:, None])
-    finite = logs[logs > LOG_ZERO]
-    if finite.size == 0:
-        return logs, 0.0
+    g += log_f[:, None]
+    logs = logsumexp_axis0(g)
+    lo, hi = np.minimum.reduce(logs), np.maximum.reduce(logs)
+    if not lo > LOG_ZERO:  # a value is zero: the extremes of the others
+        finite = logs[logs > LOG_ZERO]
+        if finite.size == 0:
+            return logs, 0.0
+        lo, hi = finite.min(), finite.max()
     # each term at its own worst value: the rounding error grows with
     # |log value|, the relative truncation error as the value falls
-    per_value_err = _entry_log_error(float(np.abs(finite).max()), len(points))
+    per_value_err = _entry_log_error(float(max(abs(lo), abs(hi))), len(points))
     if trunc:
-        per_value_err += trunc / math.exp(max(finite.min(), LOG_MASS_FLOOR))
+        per_value_err += trunc / math.exp(max(lo, LOG_MASS_FLOOR))
     return logs, per_value_err
 
 

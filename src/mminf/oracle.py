@@ -77,9 +77,11 @@ def uniformized_kernel(
         np.matmul(powers[i], powers[1], out=powers[i + 1])
     w = np.exp(poisson_log_row(big * t, 0, m_hi))
     *blocks, top = [w[lo : lo + s] for lo in range(0, m_hi + 1, s)]
-    acc = np.tensordot(top, powers[: len(top)], axes=1)
+    # a block's weighted sum of powers is one product with the flat table
+    flat, shape = powers.reshape(s + 1, -1), (N + 1, N + 1)
+    acc = np.dot(top, flat[: len(top)]).reshape(shape)
     for block in reversed(blocks):
-        acc = acc @ powers[s] + np.tensordot(block, powers[:s], axes=1)
+        acc = acc @ powers[s] + np.dot(block, flat[:s]).reshape(shape)
     boundary = float(acc[: max(1, N // 2), N].max())
     if boundary > 100.0 * tol:
         warnings.warn(

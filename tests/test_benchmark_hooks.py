@@ -10,7 +10,10 @@ files are read, never changed, here.
 """
 
 import importlib
+import json
 import os
+import shutil
+import subprocess
 import sys
 
 import pytest
@@ -18,7 +21,8 @@ import pytest
 from mminf import kernel
 from mminf.bounds import verify_theorem
 
-BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(__file__)), "benchmarks")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+BENCH_DIR = os.path.join(ROOT, "benchmarks")
 
 
 @pytest.fixture(scope="module")
@@ -52,3 +56,34 @@ def test_report_cases_view_built_once():
     report = verify_theorem(params, 1.0, f, 20)
     assert report.cases is report.cases
     assert len({id(case.budget) for case in report.cases if case.testable}) == 1
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not a number a metric may hold")
+
+
+def test_traced_run_reports_every_declared_metric(tmp_path):
+    # run.py accepts a traced result without kernel.entry_cache.hit_ratio
+    # (it counts that metric as optional), so a hook that stops resolving can
+    # print "correct": true with a declared metric missing; the declared names
+    # are checked here. Two rounds of the shortest workload, in a copy of the
+    # harness, so that its outputs stay out of the checkout.
+    shutil.copytree(
+        BENCH_DIR, tmp_path / "benchmarks",
+        ignore=shutil.ignore_patterns("out", "__pycache__"),
+    )
+    shutil.copy(os.path.join(ROOT, "BENCHMARK.json"), tmp_path)
+    os.symlink(os.path.join(ROOT, "src"), tmp_path / "src")
+    run = subprocess.run(
+        [sys.executable, "benchmarks/run.py", "--workload", "oracle",
+         "--trace", "1", "--seconds", "0"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert run.stdout.strip(), run.stderr
+    result = json.loads(
+        run.stdout.strip().splitlines()[-1], parse_constant=_refuse_constant
+    )
+    assert result["correct"] is True, run.stderr
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        declared = [m["name"] for m in json.load(fh)["per_layer"]]
+    assert [name for name in declared if name not in result["metrics"]] == []

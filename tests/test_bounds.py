@@ -2,11 +2,14 @@
 
 import math
 from fractions import Fraction
+from functools import partial
+from itertools import count
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mminf.bounds import (
     LOG_TWELVE,
@@ -24,8 +27,11 @@ from mminf.bounds import (
 )
 from mminf.distributions import LOG_ZERO, logsumexp
 from mminf.kernel import (
+    LOG_MASS_FLOOR,
     Observable,
     QueueParams,
+    _entry_log_error,
+    _kernel_column,
     _log_semigroup_profile,
     kernel_entry,
 )
@@ -402,3 +408,130 @@ class TestSharpnessDecay:
         d = p + self.PARAMS.rho * (1 - p) ** 2
         x = (p / d) ** 2
         assert abs(sharp_bound(self.PARAMS.rho, p)) <= x / (1 - x) + 1e-16
+
+
+# References for the table path of verify_theorem and for .cases, as they
+# read before their fast paths: the general route for every report, with
+# masks, boolean indexing and one Python-level record per case. The fast
+# paths must give the same floats, flags, types and records.
+
+
+def masked_logsumexp_axis0(arr):
+    # profiles are narrow: their slices are summed by one accumulate
+    m = arr.max(axis=0)
+    ok = m > LOG_ZERO
+    e = arr - np.where(ok, m, 0.0)
+    s = np.add.accumulate(np.exp(e, out=e), axis=0, out=e)[-1]
+    return m + np.log(s, out=np.full_like(m, LOG_ZERO), where=ok)
+
+
+def reference_verify_theorem(params, t, f, n_max, against):
+    """(margins, budget, testable) of verify_theorem on a table observable."""
+    rho, p = params.rho, params.p(t)
+    bound = sharp_bound(rho, p) if against == "sharp" else glmrs_bound(rho, p)
+    points = sorted(n for n, v in f.table.items() if v > 0)
+    g = np.array(
+        [_kernel_column(params.lam, params.mu, t, 0, n_max + 1, m) for m in points]
+    )
+    log_f = np.array([math.log(f.table[m]) for m in points])
+    logs = masked_logsumexp_axis0(g + log_f[:, None])
+    finite = logs[logs > LOG_ZERO]
+    per_value_err = 0.0
+    if finite.size:
+        per_value_err = _entry_log_error(float(np.abs(finite).max()), len(points))
+    lm, l0, lp = logs[:-2], logs[1:-1], logs[2:]
+    floor = LOG_MASS_FLOOR + math.log(max(f.sup, 1e-300))
+    testable = np.minimum(np.minimum(lm, l0), lp) >= floor
+    with np.errstate(invalid="ignore"):
+        margins = (lp + lm - 2.0 * l0) - bound
+    return margins, 4.0 * per_value_err + 1e-14, testable
+
+
+def reference_cases(report):
+    record = partial(tuple.__new__, CaseResult)
+    return [
+        record((key + (n,), margin, budget, True))
+        if ok
+        else record((key + (n,), math.nan, 0.0, False))
+        for key, margins, budgets, testable in report.rows()
+        for n, margin, budget, ok in zip(count(1), margins, budgets, testable)
+    ]
+
+
+def assert_same_cases(report):
+    # repr tells every float apart, -0.0 and nan included; types too
+    cases, ref = report.cases, reference_cases(report)
+    assert repr(cases) == repr(ref)
+    assert [tuple(map(type, c)) for c in cases] == [tuple(map(type, c)) for c in ref]
+    assert all(type(case) is CaseResult for case in cases)
+
+
+@st.composite
+def drawn_reports(draw):
+    # 1-D reports share one float budget, 2-D ones hold a budget per case
+    shape = draw(hnp.array_shapes(min_dims=1, max_dims=2, max_side=12))
+    margins = draw(hnp.arrays(np.float64, shape))
+    testable = draw(hnp.arrays(np.bool_, shape))
+    if draw(st.booleans()):
+        testable[...] = True  # every row fully testable
+    if len(shape) == 1:
+        budgets = draw(st.floats(min_value=0.0, allow_infinity=False))
+    else:
+        budgets = draw(hnp.arrays(np.float64, shape, elements=st.floats(0.0, 1.0)))
+    prefix = draw(st.tuples(*[st.floats(0.0, 10.0)] * draw(st.integers(0, 2))))
+    return VerificationReport(prefix, margins, budgets, testable)
+
+
+class TestFastPathsAreTheGeneralRoute:
+    @given(
+        rho=st.floats(min_value=0.01, max_value=50.0),
+        # p = 1 in floating point (-inf masses below the diagonal), p = 0,
+        # and the campaign's range between
+        t=st.one_of(st.floats(0.01, 5.0), st.sampled_from([1e-17, 800.0])),
+        table=st.dictionaries(
+            st.one_of(st.integers(0, 60), st.sampled_from([700, 3000, 5000])),
+            st.one_of(st.just(0.0), st.floats(min_value=1e-300, max_value=1e3)),
+            min_size=1, max_size=8,
+        ),
+        n_max=st.integers(1, 40),
+        against=st.sampled_from(["sharp", "glmrs"]),
+    )
+    @example(rho=1.0, t=1.0, table={0: 2.0}, n_max=40, against="sharp")
+    @example(rho=1.0, t=1.0, table={5000: 1.0}, n_max=5, against="glmrs")
+    @example(rho=0.5, t=1e-17, table={0: 1.0}, n_max=3, against="sharp")
+    @example(rho=1.0, t=0.1, table={0: 1.0, 3000: 1e-300}, n_max=40, against="sharp")
+    # only the last value of the profile, or only the first, below the floor
+    @example(rho=1.0, t=1.05e-7, table={0: 1.0}, n_max=40, against="sharp")
+    @example(rho=1.0, t=math.log(2.0), table={139: 1.0}, n_max=40, against="sharp")
+    @settings(max_examples=40, deadline=None)
+    def test_table_report(self, rho, t, table, n_max, against):
+        assume(any(table.values()))
+        params = QueueParams(lam=rho, mu=1.0)
+        f = Observable.from_table(table)
+        report = verify_theorem(params, t, f, n_max, against=against)
+        margins, budget, testable = reference_verify_theorem(
+            params, t, f, n_max, against
+        )
+        assert np.array_equal(report.margins, margins, equal_nan=True)
+        assert report.testable.dtype == bool
+        assert np.array_equal(report.testable, testable)
+        assert type(report.budgets) is float and report.budgets == budget
+        assert_same_cases(report)
+
+    @given(report=drawn_reports())
+    @settings(max_examples=40, deadline=None)
+    def test_cases_of_drawn_reports(self, report):
+        assert_same_cases(report)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: _kernel_report(2.0, 0.1, 5, 5),
+            lambda: _kernel_report(0.01, 0.01, 3, 200),  # untestable cases
+            lambda: verify_generalized(0.5, 0.0, 4, 10),  # untestable, inf margins
+            lambda: _theorem_report(1.0, 0.999, [0], 150),  # untestable cases
+            lambda: _theorem_report(2.0, 0.1, [2, 7], 40),
+        ],
+    )
+    def test_cases_of_verified_reports(self, build):
+        assert_same_cases(build())

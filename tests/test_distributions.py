@@ -383,3 +383,53 @@ def test_logsumexp_axis0_is_running_sum(arr, pad):
     assert np.array_equal(logsumexp_axis0(np.asfortranarray(arr)), ref)
     padded = np.concatenate([arr, np.full((pad,) + arr.shape[1:], LOG_ZERO)])
     assert np.array_equal(logsumexp_axis0(padded), ref)
+
+
+def masked_logsumexp_axis0(arr):
+    """Reference: logsumexp_axis0 with every slice masked, as it read before
+    its fast path for blocks whose every slice holds a finite term."""
+    m = arr.max(axis=0)
+    ok = m > LOG_ZERO
+    e = arr - np.where(ok, m, 0.0)
+    s = np.exp(e, out=e)[0]
+    if s.size < 256:
+        s = np.add.accumulate(e, axis=0, out=e)[-1]
+    else:
+        for row in e[1:]:
+            s += row
+    return m + np.log(s, out=np.full_like(m, LOG_ZERO), where=ok)
+
+
+@st.composite
+def finite_or_masked_blocks(draw):
+    # narrow trailing shapes take the accumulate, 256 or more columns the
+    # loop; a block takes the fast path unless a slice is -inf throughout
+    rows = draw(st.integers(1, 40))
+    if draw(st.booleans()):  # seeded: drawing each entry would be slow
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        arr = rng.uniform(-750.0, 50.0, (rows, draw(st.integers(256, 300))))
+        arr[rng.random(arr.shape) < 0.2] = LOG_ZERO
+    else:
+        shape = (rows,) + draw(hnp.array_shapes(min_dims=0, max_dims=2, max_side=12))
+        entry = st.one_of(st.floats(-750.0, 50.0), st.just(LOG_ZERO))
+        arr = draw(hnp.arrays(np.float64, shape, elements=entry))
+    if arr.ndim > 1:
+        flat = arr.reshape(rows, -1)
+        flat[0, np.all(flat == LOG_ZERO, axis=0)] = 0.0  # a finite term each
+        if draw(st.booleans()):  # then mask one slice
+            flat[:, draw(st.integers(0, flat.shape[1] - 1))] = LOG_ZERO
+    return arr
+
+
+@given(arr=finite_or_masked_blocks())
+@example(arr=_seeded_block(300))
+@example(arr=np.where(_seeded_block(300) == LOG_ZERO, 0.0, _seeded_block(300)))
+@example(arr=np.array([0.0, 1.0, LOG_ZERO]))
+@example(arr=np.array([LOG_ZERO, LOG_ZERO]))
+@settings(max_examples=50, deadline=None)
+def test_logsumexp_axis0_fast_path_is_masked_route(arr):
+    # bit for bit, with or without slices to mask, and the same type: a
+    # 1-D block sums to a scalar
+    out, ref = logsumexp_axis0(arr.copy()), masked_logsumexp_axis0(arr.copy())
+    assert type(out) is type(ref)
+    assert np.array_equal(out, ref, equal_nan=True)
