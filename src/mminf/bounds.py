@@ -124,9 +124,9 @@ class VerificationReport:
 
     Arrays of shape (rows, n_max) hold rows k = 0, 1, ... whose cases are
     keyed prefix + (k, n); arrays of shape (n_max,) hold one unkeyed row whose
-    cases are keyed prefix + (n,). budgets broadcasts against margins: the
-    semigroup report holds one float for all its cases. A case passes when it
-    is testable and its margin is at least minus its budget."""
+    cases are keyed prefix + (n,). budgets broadcasts against margins: a
+    table's semigroup report holds one float for all its cases. A case passes
+    when it is testable and its margin is at least minus its budget."""
 
     prefix: tuple
     margins: np.ndarray
@@ -144,11 +144,10 @@ class VerificationReport:
         """(key prefix, margins, budgets, testable) of each row, as Python
         values in key order; a float budget is one object for every case."""
         margins, testable = self.margins.tolist(), self.testable.tolist()
+        b = self.budgets
+        budgets = repeat(b) if isinstance(b, float) else b.tolist()
         if self.margins.ndim == 1:
-            margins, testable = [margins], [testable]
-            budgets = [repeat(self.budgets)]
-        else:
-            budgets = self.budgets.tolist()
+            margins, budgets, testable = [margins], [budgets], [testable]
         return zip(self._row_keys(), margins, budgets, testable)
 
     @cached_property
@@ -251,7 +250,7 @@ def verify_theorem(
         raise ValueError(f"unknown bound {against!r}")
     rho, p = params.rho, params.p(t)
     bound = sharp_bound(rho, p) if against == "sharp" else glmrs_bound(rho, p)
-    logs, per_value_err = _log_semigroup_profile(params, t, f, 0, n_max + 1, deficit)
+    logs, err = _log_semigroup_profile(params, t, f, 0, n_max + 1, deficit)
     lm, l0, lp = logs[:-2], logs[1:-1], logs[2:]
     floor = LOG_MASS_FLOOR + math.log(max(f.sup, 1e-300))
     if np.minimum.reduce(logs) >= floor:  # lm, l0, lp cover every value
@@ -261,7 +260,11 @@ def verify_theorem(
         testable = np.minimum(np.minimum(lm, l0), lp) >= floor
         with np.errstate(invalid="ignore"):  # -inf - -inf where untestable
             margins = (lp + lm - 2.0 * l0) - bound
-    budget = 4.0 * per_value_err + 1e-14
+    # over the four terms of each case's margin; a callable's differ by value
+    if isinstance(err, np.ndarray):
+        budget = err[2:] + err[:-2] + 2.0 * err[1:-1] + 1e-14
+    else:
+        budget = 4.0 * err + 1e-14
     return VerificationReport((rho, p), margins, budget, testable)
 
 

@@ -1,5 +1,7 @@
 """Command-line front door: verification campaigns, oracle cross-checks,
-sharpness runs and parameter sweeps, all emitting deterministic CSV.
+sharpness runs and parameter sweeps, all emitting deterministic CSV. Every
+command runs at mu = 1, time in units of 1/mu: the kernel depends on lam, mu
+and t only through rho = lam/mu and p = exp(-mu t).
 
 Exit codes: 0 all verdicts pass, 1 any fail, 2 usage error, 3 when --strict
 is set and some cases were untestable at this precision.
@@ -79,7 +81,7 @@ def _add_common(p: argparse.ArgumentParser, jobs: bool = True, strict: bool = Tr
     p.add_argument("--out", type=str, default=None)
     if strict:  # only commands with untestable verdicts can fail under it
         p.add_argument("--strict", action="store_true")
-    if jobs:  # only grid commands have cells to share among processes
+    if jobs:  # sharpness is one cell, with nothing to share among processes
         p.add_argument("--jobs", type=int, default=1)
 
 
@@ -94,7 +96,6 @@ def parse_args(argv) -> RunConfig:
     lemma = argparse.ArgumentParser(add_help=False)  # verify-lemma and sweep
     lemma.add_argument("--rho", type=float, action="append")
     lemma.add_argument("--p", type=float, action="append")
-    lemma.add_argument("--mu", type=float, default=1.0)
     lemma.add_argument("--kmax", type=int, default=30)
     lemma.add_argument("--nmax", type=int, default=60)
     _add_common(lemma)
@@ -105,7 +106,6 @@ def parse_args(argv) -> RunConfig:
     p = sub.add_parser("verify-theorem", help="semigroup semi-log-convexity")
     p.add_argument("--rho", type=float, action="append")
     p.add_argument("--p", type=float, action="append")
-    p.add_argument("--mu", type=float, default=1.0)
     p.add_argument("--nmax", type=int, default=40)
     p.add_argument("--f", type=str, default="indicator:0..3")
     p.add_argument("--bound", choices=["sharp", "glmrs"], default="sharp")
@@ -123,7 +123,6 @@ def parse_args(argv) -> RunConfig:
     p = sub.add_parser("oracle-check", help="kernel vs uniformization oracle")
     p.add_argument("--rho", type=float, action="append")
     p.add_argument("--p", type=float, action="append")
-    p.add_argument("--mu", type=float, default=1.0)
     p.add_argument("--kmax", type=int, default=10)
     p.add_argument("--nmax", type=int, default=20)
     p.add_argument("--N", type=int, default=80)
@@ -132,7 +131,6 @@ def parse_args(argv) -> RunConfig:
 
     p = sub.add_parser("sharpness", help="both sides of the sharp bound over t")
     p.add_argument("--rho", type=float, default=1.0)
-    p.add_argument("--mu", type=float, default=1.0)
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--f", type=str, default="indicator:0..1")
     p.add_argument("--t", type=float, action="append")
@@ -172,19 +170,13 @@ def _validate(command, opts, parser):
     require("a", lambda v: 0.0 <= v <= 1.0, "in [0,1]")
     for name in ("b", "delta"):
         require(name, lambda v: v >= 0.0, "finite and non-negative")
-    for name in ("rho", "mu", "t", "tol"):
+    for name in ("rho", "t", "tol"):
         require(name, lambda v: v > 0.0, "finite and positive")
     require("kmax", lambda v: v >= 0, "non-negative")
     n_min = 0 if command == "oracle-check" else 1  # the first n a command checks
     require("nmax", lambda v: v >= n_min, f">= {n_min}")
     for name in ("n", "jobs"):
         require(name, lambda v: v >= 1, ">= 1")
-    if "mu" in opts:  # each such command runs at arrival rate rho * mu
-        mu = opts["mu"]
-        what = f"such that rho * {mu} is finite and positive"
-        require("rho", lambda v: 0.0 < v * mu < math.inf, what)
-        what = f"such that the kernel's horizon -log(p) / {mu} is finite"
-        require("p", lambda v: -math.log(v) / mu < math.inf, what)
     if command == "oracle-check":
         need = max(opts["kmax"], opts["nmax"], 1)
         if opts["N"] < need:
@@ -194,7 +186,7 @@ def _validate(command, opts, parser):
             parse_observable(opts["f"])
         except (ValueError, KeyError) as exc:
             parser.error(f"bad --f spec: {exc}")
-    if command != "sharpness" and not _grid(command, opts)[1]:
+    if not _grid(command, opts)[1]:
         parser.error("the grid has no cell to check (a = 0 with b = 0 is degenerate)")
 
 
@@ -220,19 +212,21 @@ def _report_rows(report):
     return "".join(lines), verdicts
 
 
+def _queue(rho, p):
+    """The queue of intensity rho at mu = 1, and the horizon of survival p."""
+    params = QueueParams(lam=rho, mu=1.0)
+    return params, params.t_for_p(p)
+
+
 def _lemma_cell(args):
-    rho, p, mu, kmax, nmax = args
-    params = QueueParams(lam=rho * mu, mu=mu)
-    return _report_rows(verify_kernel_lemma(params, params.t_for_p(p), kmax, nmax))
+    rho, p, kmax, nmax = args
+    return _report_rows(verify_kernel_lemma(*_queue(rho, p), kmax, nmax))
 
 
 def _theorem_cell(args):
-    rho, p, mu, nmax, f_spec, bound = args
-    params = QueueParams(lam=rho * mu, mu=mu)
+    rho, p, nmax, f_spec, bound = args
     f = parse_observable(f_spec)
-    return _report_rows(
-        verify_theorem(params, params.t_for_p(p), f, nmax, against=bound)
-    )
+    return _report_rows(verify_theorem(*_queue(rho, p), f, nmax, against=bound))
 
 
 def _generalized_cell(args):
@@ -241,9 +235,8 @@ def _generalized_cell(args):
 
 
 def _oracle_cell(args):
-    rho, p, mu, kmax, nmax, big_n, tol = args
-    params = QueueParams(lam=rho * mu, mu=mu)
-    t = params.t_for_p(p)
+    rho, p, kmax, nmax, big_n, tol = args
+    params, t = _queue(rho, p)
     mat = uniformized_kernel(params, t, big_n, tol)
     exact = np.exp(kernel_log_matrix(params, t, kmax, nmax))
     discs = np.abs(exact - mat[: kmax + 1, : nmax + 1]).max(axis=1)
@@ -255,9 +248,19 @@ def _oracle_cell(args):
     return text, {"pass" if (discs <= 10.0 * tol).all() else "fail"}
 
 
+def _sharpness_cell(args):
+    rho, n, f_spec, t_vals, delta = args
+    f = parse_observable(f_spec)
+    *decay, (t, lhs, rhs) = sharpness_decay(QueueParams(lam=rho, mu=1.0), f, n, t_vals)
+    verdict = "pass" if max(lhs, rhs) <= delta else "fail"
+    row = "{:.17g},{:.17g},{:.17g},{}\r\n".format
+    text = "".join(row(*case, "na") for case in decay) + row(t, lhs, rhs, verdict)
+    return text, {verdict}
+
+
 def _grid(command, o):
-    """The worker of a grid command, its cells (one worker call each) and the
-    CSV header line of the rows the worker returns."""
+    """The worker of a command, its cells (one worker call each) and the CSV
+    header line of the rows the worker returns; sharpness is one cell."""
 
     # distinct values, ascending: cells run, and rows come out, in grid order
     def product(*names):
@@ -268,12 +271,12 @@ def _grid(command, o):
     checked = "margin,error_budget,verdict\r\n"
     if command in ("verify-lemma", "sweep"):
         cells = [
-            (rho, p, o["mu"], o["kmax"], o["nmax"]) for rho, p in product("rho", "p")
+            (rho, p, o["kmax"], o["nmax"]) for rho, p in product("rho", "p")
         ]
         return _lemma_cell, cells, "rho,p,k,n," + checked
     if command == "verify-theorem":
         cells = [
-            (rho, p, o["mu"], o["nmax"], o["f"], o["bound"])
+            (rho, p, o["nmax"], o["f"], o["bound"])
             for rho, p in product("rho", "p")
         ]
         return _theorem_cell, cells, "rho,p,n," + checked
@@ -286,11 +289,15 @@ def _grid(command, o):
         return _generalized_cell, cells, "a,b,k,n," + checked
     if command == "oracle-check":
         cells = [
-            (rho, p, o["mu"], o["kmax"], o["nmax"], o["N"], o["tol"])
+            (rho, p, o["kmax"], o["nmax"], o["N"], o["tol"])
             for rho, p in product("rho", "p")
         ]
         header = "rho,p,k,max_abs_discrepancy,tol,verdict\r\n"
         return _oracle_cell, cells, header
+    if command == "sharpness":
+        t_vals = sorted(set(_values(command, o, "t")))
+        cell = (o["rho"], o["n"], o["f"], t_vals, o["delta"])
+        return _sharpness_cell, [cell], "t,laplacian_abs,bound_abs,verdict\r\n"
     raise ValueError(f"unknown command {command!r}")
 
 
@@ -307,19 +314,8 @@ def _run_cells(cells, worker, jobs):
 
 def run(config: RunConfig) -> int:
     o = config.options
-    if config.command == "sharpness":
-        t_vals = sorted(set(_values("sharpness", o, "t")))
-        params = QueueParams(lam=o["rho"] * o["mu"], mu=o["mu"])
-        f = parse_observable(o["f"])
-        *decay, (t, lhs, rhs) = sharpness_decay(params, f, o["n"], t_vals)
-        verdict = "pass" if max(lhs, rhs) <= o["delta"] else "fail"
-        row = "{:.17g},{:.17g},{:.17g},{}\r\n".format
-        text = "".join(row(*case, "na") for case in decay) + row(t, lhs, rhs, verdict)
-        header = "t,laplacian_abs,bound_abs,verdict\r\n"
-        chunks = [(text, {verdict})]
-    else:
-        worker, cells, header = _grid(config.command, o)
-        chunks = _run_cells(cells, worker, o["jobs"])
+    worker, cells, header = _grid(config.command, o)
+    chunks = _run_cells(cells, worker, o.get("jobs", 1))  # sharpness has no --jobs
 
     out_path = o.get("out")
     if out_path is None:

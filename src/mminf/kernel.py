@@ -75,8 +75,8 @@ class Observable:
     """
 
     def __init__(self, table=None, func=None, sup=None):
-        if (table is None) == (func is None):
-            raise ValueError("provide exactly one of table or func")
+        if (table is None) == (func is None) or (func is None) != (sup is None):
+            raise ValueError("provide a table, or a func with its sup")
         if table is not None:
             table = {int(n): float(v) for n, v in table.items()}
             if any(n < 0 for n in table):
@@ -94,7 +94,7 @@ class Observable:
             self.points = sorted(n for n, v in table.items() if v > 0)
             self.log_values = np.array([math.log(table[n]) for n in self.points])
         else:
-            if sup is None or not (math.isfinite(sup) and sup > 0):
+            if not (math.isfinite(sup) and sup > 0):
                 raise ValueError(
                     "callable observables require a finite positive sup bound"
                 )
@@ -241,17 +241,17 @@ def _kernel_column(
     return column
 
 
-def _log_semigroup_profile(
-    params: QueueParams, t: float, f: Observable, n_lo: int, n_hi: int, deficit: float
-) -> tuple[np.ndarray, float]:
-    """log A_t f(n) for n = n_lo..n_hi, and an error bound valid for each value.
+def _log_semigroup_profile(params, t, f, n_lo, n_hi, deficit):
+    """log A_t f(n) for n = n_lo..n_hi, and an error bound: for a table one
+    float valid for each value, for a callable an array, one per value.
 
     f is summed over its points m in one row-wise log-sum-exp of
     log f(m) + G[n, m]. A table's points are its support, read from cached
     kernel columns. A callable's are the window 0..n_hi + N, read from one
     block: row n is B(n, p) * Poisson(b), so beyond n + N <= n_hi + N it
     holds at most the Poisson tail beyond N, which poisson_window bounds by
-    deficit; the sum then misses at most sup * deficit."""
+    deficit; the sum then misses at most sup * deficit, so log v at most
+    sup * deficit / v."""
     if f.is_table:
         points, log_f = f.points, f.log_values
         g = np.array(
@@ -275,10 +275,10 @@ def _log_semigroup_profile(
         lo, hi = finite.min(), finite.max()
     # each term at its own worst value: the rounding error grows with
     # |log value|, the relative truncation error as the value falls
-    per_value_err = _entry_log_error(float(max(abs(lo), abs(hi))), len(points))
+    err = _entry_log_error(float(max(abs(lo), abs(hi))), len(points))
     if trunc:
-        per_value_err += trunc / math.exp(max(lo, LOG_MASS_FLOOR))
-    return logs, per_value_err
+        err = err + trunc * np.exp(-np.maximum(logs, LOG_MASS_FLOOR))
+    return logs, err
 
 
 def generator_apply(params: QueueParams, f: Observable, n: int) -> float:

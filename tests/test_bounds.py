@@ -34,6 +34,7 @@ from mminf.kernel import (
     _kernel_column,
     _log_semigroup_profile,
     kernel_entry,
+    semigroup_apply,
 )
 
 rho_st = st.floats(min_value=1e-2, max_value=50.0)
@@ -275,6 +276,34 @@ class TestVerifyTheorem:
         report = verify_theorem(self.PARAMS, t, f, 5)
         assert [case.key[2] for case in report.cases] == [1, 2, 3, 4, 5]
         assert all(case.testable for case in report.cases)
+
+    @pytest.mark.parametrize(
+        "rho, p, f, n_max, failing",
+        [
+            # f = 1{2} fails at n = 1 as a table; its values fall below 1e-8
+            # by n = 2, so the least value of the profile would set a budget
+            # of ~1e14 and pass every case
+            (200.0, 0.9, Observable.from_callable(lambda n: float(n == 2), 1.0),
+             20, [1]),
+            # the least value, ~1e-50 at n = 201, would set one of ~1e38
+            (1.0, 0.5, Observable.from_callable(lambda n: math.exp(-2.0 * n), 1.0),
+             200, []),
+        ],
+    )
+    def test_callable_budget_per_case(self, rho, p, f, n_max, failing):
+        # a callable's sum misses at most sup * deficit of each value v, so
+        # log v at most sup * deficit / v: each case's budget covers that at
+        # its own three values, and no more than rounding beyond
+        params = QueueParams(lam=rho, mu=1.0)
+        t = params.t_for_p(p)
+        report = verify_theorem(params, t, f, n_max)
+        v = [semigroup_apply(params, t, f, k).value for k in range(3)]
+        truncation = 1e-12 * (1.0 / v[0] + 2.0 / v[1] + 1.0 / v[2])
+        assert truncation <= report.budgets[0] <= 1e-3
+        table = {m: f(m) for m in range(400) if f(m) > 0.0}
+        twin = verify_theorem(params, t, Observable.from_table(table), n_max)
+        fails = [c.key[2] for c in report.cases if not c.passed]
+        assert fails == [c.key[2] for c in twin.cases if not c.passed] == failing
 
     def test_lemma_implies_theorem(self):
         # wherever the kernel lemma passes, single-point observables inherit a

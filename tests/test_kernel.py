@@ -198,7 +198,7 @@ class TestSemigroup:
             params, t, Observable.from_table(table), 0, n_hi, deficit
         )
         assert np.array_equal(logs, ref)
-        assert err > ref_err > 0.0
+        assert (err > ref_err).all() and ref_err > 0.0
 
     def test_time_zero(self):
         f = Observable.from_table({2: 5.0})
@@ -234,6 +234,13 @@ class TestObservable:
     def test_callable_requires_sup(self):
         with pytest.raises(ValueError):
             Observable.from_callable(lambda n: 1.0, sup=None)
+
+    def test_table_refuses_sup(self):
+        # a table's sup is its largest value; a declared one would be ignored
+        with pytest.raises(ValueError, match="sup"):
+            Observable(table={0: 1.0, 3: 2.0}, sup=0.5)
+        with pytest.raises(ValueError, match="sup"):
+            Observable(table={0: 1.0}, sup=1.0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite(self, bad):

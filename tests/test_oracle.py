@@ -2,6 +2,9 @@
 and the triple-agreement property across all three routes."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -276,3 +279,21 @@ class TestTripleAgreement:
             q = math.exp(kernel_entry(PARAMS, 1.0, 5, n))
             se = math.sqrt(q * (1 - q) / cfg.replications)
             assert abs(emp[n] - q) <= 5 * se + 1e-12
+
+
+def test_counterexample_demo_runs():
+    # the script imports t_for_p, uniformized_kernel and
+    # exact_rational_convolution; it must run and show both violations
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [os.path.join(root, "src"), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, os.path.join(root, "scripts", "counterexample_demo.py")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = [line.strip() for line in proc.stdout.splitlines()]
+    assert "violated: True" in lines  # the kernel lemma, in exact rationals
+    assert "sharp violated: True" in lines  # the semigroup bound
