@@ -24,7 +24,6 @@ from .distributions import (
 from .kernel import (
     Observable,
     QueueParams,
-    SemigroupValue,
     generator_apply,
     kernel_entry,
     reversibility_defect,

@@ -19,7 +19,6 @@ import numpy as np
 
 from .distributions import LOG_ZERO, convolution_log_matrix
 from .kernel import (
-    DEFAULT_DEFICIT,
     LOG_MASS_FLOOR,
     Observable,
     QueueParams,
@@ -125,7 +124,7 @@ class VerificationReport:
     Arrays of shape (rows, n_max) hold rows k = 0, 1, ... whose cases are
     keyed prefix + (k, n); arrays of shape (n_max,) hold one unkeyed row whose
     cases are keyed prefix + (n,). budgets broadcasts against margins: a
-    table's semigroup report holds one float for all its cases. A case passes
+    semigroup report holds one float for all its cases. A case passes
     when it is testable and its margin is at least minus its budget."""
 
     prefix: tuple
@@ -239,7 +238,6 @@ def verify_theorem(
     t: float,
     f: Observable,
     n_max: int,
-    deficit: float = DEFAULT_DEFICIT,
     against: str = "sharp",
 ) -> VerificationReport:
     """Check the semi-log-convexity of the semigroup: the discrete Laplacian
@@ -250,7 +248,7 @@ def verify_theorem(
         raise ValueError(f"unknown bound {against!r}")
     rho, p = params.rho, params.p(t)
     bound = sharp_bound(rho, p) if against == "sharp" else glmrs_bound(rho, p)
-    logs, err = _log_semigroup_profile(params, t, f, 0, n_max + 1, deficit)
+    logs, err = _log_semigroup_profile(params, t, f, 0, n_max + 1)
     lm, l0, lp = logs[:-2], logs[1:-1], logs[2:]
     floor = LOG_MASS_FLOOR + math.log(max(f.sup, 1e-300))
     if np.minimum.reduce(logs) >= floor:  # lm, l0, lp cover every value
@@ -260,28 +258,18 @@ def verify_theorem(
         testable = np.minimum(np.minimum(lm, l0), lp) >= floor
         with np.errstate(invalid="ignore"):  # -inf - -inf where untestable
             margins = (lp + lm - 2.0 * l0) - bound
-    # over the four terms of each case's margin; a callable's differ by value
-    if isinstance(err, np.ndarray):
-        budget = err[2:] + err[:-2] + 2.0 * err[1:-1] + 1e-14
-    else:
-        budget = 4.0 * err + 1e-14
-    return VerificationReport((rho, p), margins, budget, testable)
+    # over the four terms of each case's margin
+    return VerificationReport((rho, p), margins, 4.0 * err + 1e-14, testable)
 
 
-def sharpness_decay(
-    params: QueueParams,
-    f: Observable,
-    n: int,
-    t_sequence,
-    deficit: float = DEFAULT_DEFICIT,
-) -> list:
+def sharpness_decay(params: QueueParams, f: Observable, n: int, t_sequence) -> list:
     """Magnitudes of both sides of the sharp inequality along increasing t;
-    both vanish in the long-time limit for bounded observables."""
+    both vanish in the long-time limit for every observable."""
     if n < 1:
         raise ValueError(f"lattice point must be >= 1, got {n}")
     out = []
     for t in t_sequence:
-        logs, _ = _log_semigroup_profile(params, t, f, n - 1, n + 1, deficit)
+        logs, _ = _log_semigroup_profile(params, t, f, n - 1, n + 1)
         lm, l0, lp = logs.tolist()
         lhs = abs(lp + lm - 2.0 * l0)
         rhs = abs(sharp_bound(params.rho, params.p(t)))

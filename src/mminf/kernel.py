@@ -19,10 +19,7 @@ from .distributions import (
     convolution_log_matrix,
     logsumexp_axis0,
     poisson_log_pmf,
-    poisson_window,
 )
-
-DEFAULT_DEFICIT = 1e-12
 
 # ratios of masses below this floor carry no information: the inequality
 # checks report such points untestable rather than pass
@@ -67,83 +64,37 @@ class QueueParams:
 
 
 class Observable:
-    """A non-negative function on the non-negative integers.
+    """A non-negative function on the non-negative integers with finite
+    support: a table of values, zero off the table."""
 
-    Either a finite-support table (zero off the table) or a bounded callable
-    with a declared supremum. The supremum is needed to certify the truncation
-    error of windowed sums; it is spot-checked by sampling and trusted beyond.
-    """
-
-    def __init__(self, table=None, func=None, sup=None):
-        if (table is None) == (func is None) or (func is None) != (sup is None):
-            raise ValueError("provide a table, or a func with its sup")
-        if table is not None:
-            table = {int(n): float(v) for n, v in table.items()}
-            if any(n < 0 for n in table):
-                raise ValueError("table keys must be non-negative integers")
-            if not all(math.isfinite(v) for v in table.values()):
-                raise ValueError("observable values must be finite")
-            if any(v < 0 for v in table.values()):
-                raise ValueError("observable values must be non-negative")
-            if all(v == 0 for v in table.values()):
-                raise ValueError("observable must not be identically zero")
-            self.table = table
-            self.func = None
-            self.sup = max(table.values())
-            # the ascending support and its logs, read by every profile
-            self.points = sorted(n for n, v in table.items() if v > 0)
-            self.log_values = np.array([math.log(table[n]) for n in self.points])
-        else:
-            if not (math.isfinite(sup) and sup > 0):
-                raise ValueError(
-                    "callable observables require a finite positive sup bound"
-                )
-            for n in range(0, 201, 7):
-                v = func(n)
-                if not v >= 0:  # NaN too
-                    raise ValueError(f"observable is negative or NaN at {n}: {v}")
-                if v > sup:
-                    raise ValueError(f"declared sup {sup} violated at {n}: {v}")
-            self.table = self.points = self.log_values = None
-            self.func = func
-            self.sup = float(sup)
+    def __init__(self, table):
+        table = {int(n): float(v) for n, v in table.items()}
+        if any(n < 0 for n in table):
+            raise ValueError("table keys must be non-negative integers")
+        if not all(math.isfinite(v) for v in table.values()):
+            raise ValueError("observable values must be finite")
+        if any(v < 0 for v in table.values()):
+            raise ValueError("observable values must be non-negative")
+        if all(v == 0 for v in table.values()):
+            raise ValueError("observable must not be identically zero")
+        self.table = table
+        self.sup = max(table.values())
+        # the ascending support and its logs, read by every profile
+        self.points = sorted(n for n, v in table.items() if v > 0)
+        self.log_values = np.array([math.log(table[n]) for n in self.points])
 
     @classmethod
     def from_table(cls, table) -> "Observable":
-        return cls(table=table)
-
-    @classmethod
-    def from_callable(cls, func, sup) -> "Observable":
-        return cls(func=func, sup=sup)
+        return cls(table)
 
     @classmethod
     def indicator(cls, points) -> "Observable":
-        return cls(table={n: 1.0 for n in points})
-
-    @property
-    def is_table(self) -> bool:
-        return self.table is not None
-
-    @property
-    def support(self) -> list[int]:
-        if not self.is_table:
-            raise ValueError("callable observables have no finite support")
-        return list(self.points)
+        return cls({n: 1.0 for n in points})
 
     def __call__(self, n: int) -> float:
         if n == -1:
             n = 0  # boundary convention of the generator
-        if self.is_table:
-            return self.table.get(n, 0.0)
-        return self.func(n)
-
-
-@dataclass(frozen=True)
-class SemigroupValue:
-    """A semigroup evaluation together with its certified truncation error."""
-
-    value: float
-    error: float
+        return self.table.get(n, 0.0)
 
 
 @lru_cache(maxsize=2_000_000)
@@ -182,44 +133,24 @@ def kernel_log_matrix(params: QueueParams, t: float, k_max: int, n_max: int) -> 
     return convolution_log_matrix(params.p(t), params.rho * params.q(t), k_max, n_max)
 
 
-def semigroup_apply(
-    params: QueueParams,
-    t: float,
-    f: Observable,
-    k: int,
-    deficit: float = DEFAULT_DEFICIT,
-) -> SemigroupValue:
-    """Expected value of f at time t started from k, with certified error:
-    the exponential of log_semigroup_apply.
-
-    Table observables are summed exactly over their support (no truncation
-    error); bounded callables are summed over a certified window and carry a
-    sup * deficit truncation bound.
-    """
+def semigroup_apply(params: QueueParams, t: float, f: Observable, k: int) -> float:
+    """Expected value of f at time t started from k: the exponential of
+    log_semigroup_apply, and f(k) at t = 0."""
     if t < 0:
         raise ValueError(f"time must be non-negative, got {t}")
     if t == 0:
-        return SemigroupValue(value=f(k), error=0.0)
-    return SemigroupValue(
-        value=math.exp(log_semigroup_apply(params, t, f, k, deficit)),
-        error=0.0 if f.is_table else f.sup * deficit,
-    )
+        return f(k)
+    return math.exp(log_semigroup_apply(params, t, f, k))
 
 
-def log_semigroup_apply(
-    params: QueueParams,
-    t: float,
-    f: Observable,
-    k: int,
-    deficit: float = DEFAULT_DEFICIT,
-) -> float:
+def log_semigroup_apply(params: QueueParams, t: float, f: Observable, k: int) -> float:
     """log of the semigroup action, accumulated in the log domain so that
     far-from-support evaluations stay meaningful."""
     if t <= 0:
         raise ValueError(f"time must be positive, got {t}")
     if k < 0:
         raise ValueError(f"initial state must be non-negative, got {k}")
-    logs, _ = _log_semigroup_profile(params, t, f, k, k, deficit)
+    logs, _ = _log_semigroup_profile(params, t, f, k, k)
     return float(logs[0])
 
 
@@ -241,31 +172,18 @@ def _kernel_column(
     return column
 
 
-def _log_semigroup_profile(params, t, f, n_lo, n_hi, deficit):
-    """log A_t f(n) for n = n_lo..n_hi, and an error bound: for a table one
-    float valid for each value, for a callable an array, one per value.
+def _log_semigroup_profile(params, t, f, n_lo, n_hi):
+    """log A_t f(n) for n = n_lo..n_hi, and one float that bounds the
+    rounding error of each value.
 
-    f is summed over its points m in one row-wise log-sum-exp of
-    log f(m) + G[n, m]. A table's points are its support, read from cached
-    kernel columns. A callable's are the window 0..n_hi + N, read from one
-    block: row n is B(n, p) * Poisson(b), so beyond n + N <= n_hi + N it
-    holds at most the Poisson tail beyond N, which poisson_window bounds by
-    deficit; the sum then misses at most sup * deficit, so log v at most
-    sup * deficit / v."""
-    if f.is_table:
-        points, log_f = f.points, f.log_values
-        g = np.array(
-            [_kernel_column(params.lam, params.mu, t, n_lo, n_hi, m) for m in points]
-        )
-        trunc = 0.0
-    else:
-        b = params.rho * params.q(t)
-        points = range(n_hi + poisson_window(b, deficit)[1] + 1)
-        log_f = np.array([math.log(v) if v > 0 else LOG_ZERO for v in map(f, points)])
-        g = convolution_log_matrix(params.p(t), b, n_hi, points[-1], k_min=n_lo).T
-        trunc = f.sup * deficit
-    # terms[i, n] = log f(m_i) + G[n, m_i], summed over the points
-    g += log_f[:, None]
+    f is summed over its support m in one row-wise log-sum-exp of
+    log f(m) + G[n, m], read from cached kernel columns. The support is
+    finite, so the sum is complete: nothing is truncated."""
+    g = np.array(
+        [_kernel_column(params.lam, params.mu, t, n_lo, n_hi, m) for m in f.points]
+    )
+    # terms[i, n] = log f(m_i) + G[n, m_i], summed over the support
+    g += f.log_values[:, None]
     logs = logsumexp_axis0(g)
     lo, hi = np.minimum.reduce(logs), np.maximum.reduce(logs)
     if not lo > LOG_ZERO:  # a value is zero: the extremes of the others
@@ -273,12 +191,8 @@ def _log_semigroup_profile(params, t, f, n_lo, n_hi, deficit):
         if finite.size == 0:
             return logs, 0.0
         lo, hi = finite.min(), finite.max()
-    # each term at its own worst value: the rounding error grows with
-    # |log value|, the relative truncation error as the value falls
-    err = _entry_log_error(float(max(abs(lo), abs(hi))), len(points))
-    if trunc:
-        err = err + trunc * np.exp(-np.maximum(logs, LOG_MASS_FLOOR))
-    return logs, err
+    # the rounding error grows with |log value|: take the largest
+    return logs, _entry_log_error(float(max(abs(lo), abs(hi))), len(f.points))
 
 
 def generator_apply(params: QueueParams, f: Observable, n: int) -> float:

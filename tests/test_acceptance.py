@@ -270,7 +270,7 @@ def test_criterion_9_generator_consistency():
     for t in (1e-3, 1e-4):
         deviations[t] = max(
             abs(
-                (semigroup_apply(params, t, f, n).value - f(n)) / t
+                (semigroup_apply(params, t, f, n) - f(n)) / t
                 - generator_apply(params, f, n)
             )
             for n in range(11)

@@ -25,7 +25,7 @@ from mminf.bounds import (
     verify_kernel_lemma,
     verify_theorem,
 )
-from mminf.distributions import LOG_ZERO, logsumexp
+from mminf.distributions import LOG_ZERO, logsumexp, poisson_window
 from mminf.kernel import (
     LOG_MASS_FLOOR,
     Observable,
@@ -34,7 +34,6 @@ from mminf.kernel import (
     _kernel_column,
     _log_semigroup_profile,
     kernel_entry,
-    semigroup_apply,
 )
 
 rho_st = st.floats(min_value=1e-2, max_value=50.0)
@@ -216,7 +215,10 @@ class TestVerifyTheorem:
     PARAMS = QueueParams(lam=1.0, mu=1.0)
 
     def test_constant_observable(self):
-        one = Observable.from_callable(lambda n: 1.0, sup=1.0)
+        # the indicator of 0..W - 1, W past the Poisson window of row 11, is
+        # 1 on the profile's rows to within the deficit
+        _, n_pois = poisson_window(self.PARAMS.rho * self.PARAMS.q(1.0), 1e-12)
+        one = Observable.indicator(range(11 + n_pois + 1))
         report = verify_theorem(self.PARAMS, 1.0, one, 10)
         assert report.verdict
         # Laplacian of a constant is 0, so each margin is -sharp_bound >= 0
@@ -256,7 +258,7 @@ class TestVerifyTheorem:
         params = QueueParams(lam=rho, mu=1.0)
         t = params.t_for_p(p)
         f = Observable.from_table(table)
-        logs, _ = _log_semigroup_profile(params, t, f, n_lo, n_hi, 1e-12)
+        logs, _ = _log_semigroup_profile(params, t, f, n_lo, n_hi)
         scalar = np.array(
             [scalar_log_semigroup(params, t, f, n) for n in range(n_lo, n_hi + 1)]
         )
@@ -268,7 +270,7 @@ class TestVerifyTheorem:
         # not a block reaching out to it
         t = self.PARAMS.t_for_p(0.5)
         f = Observable.indicator([0, 5000])
-        logs, _ = _log_semigroup_profile(self.PARAMS, t, f, 0, 6, 1e-12)
+        logs, _ = _log_semigroup_profile(self.PARAMS, t, f, 0, 6)
         scalar = np.array(
             [scalar_log_semigroup(self.PARAMS, t, f, n) for n in range(7)]
         )
@@ -276,34 +278,6 @@ class TestVerifyTheorem:
         report = verify_theorem(self.PARAMS, t, f, 5)
         assert [case.key[2] for case in report.cases] == [1, 2, 3, 4, 5]
         assert all(case.testable for case in report.cases)
-
-    @pytest.mark.parametrize(
-        "rho, p, f, n_max, failing",
-        [
-            # f = 1{2} fails at n = 1 as a table; its values fall below 1e-8
-            # by n = 2, so the least value of the profile would set a budget
-            # of ~1e14 and pass every case
-            (200.0, 0.9, Observable.from_callable(lambda n: float(n == 2), 1.0),
-             20, [1]),
-            # the least value, ~1e-50 at n = 201, would set one of ~1e38
-            (1.0, 0.5, Observable.from_callable(lambda n: math.exp(-2.0 * n), 1.0),
-             200, []),
-        ],
-    )
-    def test_callable_budget_per_case(self, rho, p, f, n_max, failing):
-        # a callable's sum misses at most sup * deficit of each value v, so
-        # log v at most sup * deficit / v: each case's budget covers that at
-        # its own three values, and no more than rounding beyond
-        params = QueueParams(lam=rho, mu=1.0)
-        t = params.t_for_p(p)
-        report = verify_theorem(params, t, f, n_max)
-        v = [semigroup_apply(params, t, f, k).value for k in range(3)]
-        truncation = 1e-12 * (1.0 / v[0] + 2.0 / v[1] + 1.0 / v[2])
-        assert truncation <= report.budgets[0] <= 1e-3
-        table = {m: f(m) for m in range(400) if f(m) > 0.0}
-        twin = verify_theorem(params, t, Observable.from_table(table), n_max)
-        fails = [c.key[2] for c in report.cases if not c.passed]
-        assert fails == [c.key[2] for c in twin.cases if not c.passed] == failing
 
     def test_lemma_implies_theorem(self):
         # wherever the kernel lemma passes, single-point observables inherit a
@@ -417,7 +391,10 @@ class TestSharpnessDecay:
     PARAMS = QueueParams(lam=1.0, mu=1.0)
 
     def test_constant_observable_left_side_zero(self):
-        one = Observable.from_callable(lambda n: 1.0, sup=1.0)
+        # the indicator of 0..W - 1, W past the Poisson window of row 2 at
+        # t = 4, the wider one, is 1 on rows 0..2 to within the deficit
+        _, n_pois = poisson_window(self.PARAMS.rho * self.PARAMS.q(4.0), 1e-12)
+        one = Observable.indicator(range(2 + n_pois + 1))
         rows = sharpness_decay(self.PARAMS, one, 1, [1.0, 4.0])
         for _, lhs, _ in rows:
             assert lhs <= 1e-10

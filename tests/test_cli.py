@@ -59,8 +59,8 @@ class TestParseArgs:
         assert exc.value.code == 2
 
     def test_deficit_refused(self):
-        # table observables, the only kind the CLI builds, never read a
-        # deficit, so no command takes one
+        # observables are finite tables, summed without truncation, so no
+        # command takes a deficit
         for command in COMMANDS:
             with pytest.raises(SystemExit) as exc:
                 parse_args([command, "--deficit", "1e-12"])

@@ -145,7 +145,7 @@ class TestConvolve:
 
     def test_windowed_mass_brackets_one(self):
         # row k holds all but deficit of its mass in 0..k + N, N the Poisson
-        # window: the bound the semigroup of a callable rests on
+        # window of b at the deficit
         for k, a, b in [(0, 0.0, 1.0), (3, 0.4, 2.5), (10, 0.9, 0.3)]:
             _, n_pois = poisson_window(b, 1e-10)
             row = convolution_log_matrix(a, b, k, k + n_pois, k_min=k)[0]

@@ -18,6 +18,7 @@ from mminf.distributions import (
     _log_comb_table,
     binomial_log_pmf,
     binomial_log_rows,
+    convolution_log_matrix,
     poisson_log_pmf,
     poisson_window,
 )
@@ -25,7 +26,6 @@ from mminf.kernel import (
     Observable,
     QueueParams,
     _kernel_column,
-    _log_semigroup_profile,
     generator_apply,
     kernel_entry,
     kernel_log_matrix,
@@ -112,39 +112,37 @@ class TestKernelEntry:
 
 
 class TestMehlerRow:
-    """Rows of the kernel, B(k, p) * Poisson(rho (1-p)), and the semigroup of
-    a bounded callable, which sums over them on a certified window."""
+    """Rows of the kernel, B(k, p) * Poisson(rho (1-p)), read from
+    kernel_log_matrix over the Poisson window."""
 
     def test_k_zero_row_is_poisson(self):
-        # A_t 1{m}(0) is the Poisson(b) mass at m for m in the window
+        # G[0, m] is the Poisson(b) mass at m for m in the window
         t = 0.7
         b = PARAMS.rho * PARAMS.q(t)
-        for m in range(poisson_window(b, 1e-12)[1] + 1):
-            point = Observable.from_callable(lambda n, m=m: float(n == m), sup=1.0)
-            assert log_semigroup_apply(PARAMS, t, point, 0) == pytest.approx(
-                poisson_log_pmf(b, m), abs=1e-14
-            )
+        _, n_pois = poisson_window(b, 1e-12)
+        row = kernel_log_matrix(PARAMS, t, 0, n_pois)[0]
+        for m in range(n_pois + 1):
+            assert row[m] == pytest.approx(poisson_log_pmf(b, m), abs=1e-14)
 
     def test_row_stochasticity(self):
-        # the window of row k holds all but deficit of its mass:
-        # 1 - deficit - rounding <= A_t 1(k) <= 1 + rounding
+        # the window 0..k + N of row k holds all but deficit of its mass:
+        # 1 - deficit - rounding <= sum of G[k, n] over it <= 1 + rounding
         params = QueueParams(lam=2.0, mu=1.0)
         t, deficit = math.log(2.0), 1e-12
-        one = Observable.from_callable(lambda n: 1.0, sup=1.0)
         _, n_pois = poisson_window(params.rho * params.q(t), deficit)
+        g = kernel_log_matrix(params, t, 40, 40 + n_pois)
         for k in (0, 3, 40):
-            value = math.exp(log_semigroup_apply(params, t, one, k, deficit))
+            value = math.fsum(np.exp(g[k, : k + n_pois + 1]))
             rounding = (k + n_pois + 1) * 2.3e-16
             assert 1.0 - deficit - rounding <= value <= 1.0 + rounding
 
     def test_time_zero_degenerate(self):
         # at t = 0 the row is the Dirac mass at k
-        f = Observable.from_callable(lambda n: 1.0 / (n + 1.0), sup=1.0)
-        out = semigroup_apply(PARAMS, 0.0, f, 5)
-        assert (out.value, out.error) == (1.0 / 6.0, 0.0)
+        f = Observable.from_table({n: 1.0 / (n + 1.0) for n in range(10)})
+        assert semigroup_apply(PARAMS, 0.0, f, 5) == 1.0 / 6.0
 
     def test_negative_time_rejected(self):
-        one = Observable.from_callable(lambda n: 1.0, sup=1.0)
+        one = Observable.indicator([0, 1])
         with pytest.raises(ValueError):
             semigroup_apply(PARAMS, -0.1, one, 2)
         with pytest.raises(ValueError):
@@ -158,19 +156,19 @@ class TestMehlerRow:
 
 class TestSemigroup:
     def test_constant_function(self):
-        one = Observable.from_callable(lambda n: 1.0, sup=1.0)
-        out = semigroup_apply(PARAMS, 0.8, one, 3, deficit=1e-12)
-        assert out.value == pytest.approx(1.0, abs=1e-11)
-        assert out.error == pytest.approx(1e-12)
+        # the indicator of 0..W - 1, W past the Poisson window of row 3,
+        # is 1 there to within the deficit
+        t, deficit = 0.8, 1e-12
+        _, n_pois = poisson_window(PARAMS.rho * PARAMS.q(t), deficit)
+        one = Observable.indicator(range(3 + n_pois + 1))
+        assert semigroup_apply(PARAMS, t, one, 3) == pytest.approx(1.0, abs=1e-11)
 
     def test_indicator_zero_from_zero(self):
         f = Observable.indicator([0])
         t = 1.3
-        out = semigroup_apply(PARAMS, t, f, 0)
-        assert out.value == pytest.approx(
+        assert semigroup_apply(PARAMS, t, f, 0) == pytest.approx(
             math.exp(-PARAMS.rho * PARAMS.q(t)), rel=1e-13
         )
-        assert out.error == 0.0
 
     def test_linear_mean_identity(self):
         # E[X_t | X_0=k] = k p + rho (1-p); table support wide enough that the
@@ -178,32 +176,12 @@ class TestSemigroup:
         f = Observable.from_table({n: float(n) for n in range(1, 200)})
         t = 0.6
         for k in (0, 2, 7):
-            out = semigroup_apply(PARAMS, t, f, k)
             expected = k * PARAMS.p(t) + PARAMS.rho * PARAMS.q(t)
-            assert out.value == pytest.approx(expected, rel=1e-12)
-
-    @pytest.mark.parametrize("rho,p", [(0.5, 0.1), (2.5, 0.55), (10.0, 0.9)])
-    def test_callable_matches_table_on_its_window(self, rho, p):
-        # a callable is summed over the window 0..n_hi + N; a table of the
-        # same values there is summed over the same points, without a
-        # truncation error: the same floats, so within the callable's budget
-        params = QueueParams(lam=rho, mu=1.0)
-        t, n_hi, deficit = params.t_for_p(p), 12, 1e-12
-        func = lambda n: 1.0 / (1.0 + (n - 5.0) ** 2)  # noqa: E731
-        _, n_pois = poisson_window(params.rho * params.q(t), deficit)
-        table = {m: func(m) for m in range(n_hi + n_pois + 1)}
-        f = Observable.from_callable(func, sup=1.0)
-        logs, err = _log_semigroup_profile(params, t, f, 0, n_hi, deficit)
-        ref, ref_err = _log_semigroup_profile(
-            params, t, Observable.from_table(table), 0, n_hi, deficit
-        )
-        assert np.array_equal(logs, ref)
-        assert (err > ref_err).all() and ref_err > 0.0
+            assert semigroup_apply(PARAMS, t, f, k) == pytest.approx(expected, rel=1e-12)
 
     def test_time_zero(self):
         f = Observable.from_table({2: 5.0})
-        out = semigroup_apply(PARAMS, 0.0, f, 2)
-        assert out.value == 5.0
+        assert semigroup_apply(PARAMS, 0.0, f, 2) == 5.0
 
     def test_log_route_agrees(self):
         # semigroup_apply is exp(log_semigroup_apply); the linear-domain sum
@@ -217,7 +195,7 @@ class TestSemigroup:
             assert log_semigroup_apply(PARAMS, 0.9, f, k) == pytest.approx(
                 math.log(lin), abs=1e-13
             )
-            assert semigroup_apply(PARAMS, 0.9, f, k).value == pytest.approx(
+            assert semigroup_apply(PARAMS, 0.9, f, k) == pytest.approx(
                 lin, rel=1e-13
             )
 
@@ -231,29 +209,10 @@ class TestObservable:
         with pytest.raises(ValueError):
             Observable.from_table({0: -1.0})
 
-    def test_callable_requires_sup(self):
-        with pytest.raises(ValueError):
-            Observable.from_callable(lambda n: 1.0, sup=None)
-
-    def test_table_refuses_sup(self):
-        # a table's sup is its largest value; a declared one would be ignored
-        with pytest.raises(ValueError, match="sup"):
-            Observable(table={0: 1.0, 3: 2.0}, sup=0.5)
-        with pytest.raises(ValueError, match="sup"):
-            Observable(table={0: 1.0}, sup=1.0)
-
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite(self, bad):
         with pytest.raises(ValueError, match="finite"):
             Observable.from_table({0: 1.0, 2: bad})
-        with pytest.raises(ValueError, match="finite"):
-            Observable.from_callable(lambda n: 1.0, sup=bad)
-        with pytest.raises(ValueError):
-            Observable.from_callable(lambda n: bad, sup=1.0)
-
-    def test_callable_sup_spot_check(self):
-        with pytest.raises(ValueError):
-            Observable.from_callable(lambda n: float(n), sup=10.0)
 
     def test_table_off_support_is_zero(self):
         f = Observable.from_table({3: 2.0})
@@ -287,7 +246,7 @@ class TestGenerator:
         for t in (1e-3, 1e-4, 1e-5):
             errs[t] = max(
                 abs(
-                    (semigroup_apply(PARAMS, t, f, n).value - f(n)) / t
+                    (semigroup_apply(PARAMS, t, f, n) - f(n)) / t
                     - generator_apply(PARAMS, f, n)
                 )
                 for n in range(8)
@@ -324,13 +283,14 @@ class TestReversibility:
 
 
 def test_chapman_kolmogorov():
-    # applying the semigroup at s to n -> G_n(m; t) reproduces the (s+t) kernel
+    # G(s) G(t) = G(s + t): row k of the s-block over the Poisson window of
+    # row 6, against column m of the t-block, reproduces the (s + t) entry
     s, t, m = 0.4, 0.7, 3
-    g = Observable.from_callable(
-        lambda n: math.exp(kernel_entry(PARAMS, t, n, m)), sup=1.0
-    )
+    _, n_pois = poisson_window(PARAMS.rho * PARAMS.q(s), 1e-13)
+    g_s = kernel_log_matrix(PARAMS, s, 6, 6 + n_pois)
+    g_t = kernel_log_matrix(PARAMS, t, 6 + n_pois, m)[:, m]
     for k in (0, 2, 6):
-        lhs = semigroup_apply(PARAMS, s, g, k, deficit=1e-13).value
+        lhs = math.fsum(np.exp(g_s[k] + g_t))
         rhs = math.exp(kernel_entry(PARAMS, s + t, k, m))
         assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-12)
 
@@ -462,20 +422,25 @@ def test_semigroup_tables_sized_to_the_rows_and_support(comb_calls):
     assert table.shape == (1, 2)
 
 
-def test_large_row_callable_memory_is_bounded():
-    # one row at k = 2000 over a window of ~2,020 points sums ~4M terms; in
-    # chunks of rows and columns it peaks near 1 MB, where one gather of all
-    # its Poisson terms took 97 MB. The value is the float it had before.
+def test_large_row_memory_is_bounded():
+    # one row at k = 2000 over its Poisson window, ~2,020 points, sums ~4M
+    # terms; in chunks of rows and columns it peaks near 1 MB, where one
+    # gather of all its Poisson terms took 97 MB. Its entries are the 1 x 1
+    # blocks of kernel_entry, bit for bit.
     params = QueueParams(lam=1.7, mu=1.0)
-    f = Observable.from_callable(lambda n: 1.0 / (1.0 + n), sup=1.0)
-    value = float.fromhex("-0x1.b68ce8a339da0p+2")
+    t = 0.75
+    a, b = params.p(t), params.rho * params.q(t)
+    n_hi = 2000 + poisson_window(b, 1e-12)[1]
     # the first call computes the 2,001 log C(2000, j), whose big integers
     # tracemalloc would make slow to trace
-    assert log_semigroup_apply(params, 0.75, f, 2000) == value
+    row = convolution_log_matrix(a, b, 2000, n_hi, k_min=2000)
     tracemalloc.start()
     try:
-        assert log_semigroup_apply(params, 0.75, f, 2000) == value
+        again = convolution_log_matrix(a, b, 2000, n_hi, k_min=2000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 8e6
+    assert np.array_equal(again, row) and row.shape == (1, n_hi + 1)
+    for n in (0, 1000, 2000, n_hi):
+        assert row[0, n] == kernel_entry(params, t, 2000, n)
