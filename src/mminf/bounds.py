@@ -43,11 +43,12 @@ def sharp_bound(rho: float, p: float) -> float:
         raise ValueError(f"p must lie in [0,1], got {p}")
     if p == 1.0:
         return LOG_ZERO
-    d = p + rho * (1.0 - p) ** 2
-    ratio = (p / d) ** 2
-    if ratio >= 1.0:
-        return LOG_ZERO
-    return math.log1p(-ratio)
+    e = rho * (1.0 - p) ** 2
+    ratio = (p / (p + e)) ** 2
+    if ratio <= 0.5:  # log1p keeps the relative precision of a small ratio
+        return math.log1p(-ratio)
+    c = _one_minus_ratio_squared(p, e)
+    return math.log(c) if c > 0.0 else LOG_ZERO  # c = 0 where e underflows
 
 
 def glmrs_bound(rho: float, p: float) -> float:
@@ -68,8 +69,7 @@ def lemma_K(rho: float, p: float, n: int) -> float:
         raise ValueError(f"p must lie in [0,1], got {p}")
     if n < 1:
         raise ValueError(f"lattice point must be >= 1, got {n}")
-    d = rho * (1.0 - p) ** 2 + p
-    return _ultra_log_convex_ratio(n, 1.0 - (p / d) ** 2)
+    return _ultra_log_convex_ratio(n, _one_minus_ratio_squared(p, rho * (1.0 - p) ** 2))
 
 
 def remark_M(a: float, b: float, n: int) -> float:
@@ -85,10 +85,17 @@ def remark_M(a: float, b: float, n: int) -> float:
         raise ValueError(f"b must be non-negative, got {b}")
     if n < 1:
         raise ValueError(f"lattice point must be >= 1, got {n}")
-    d = (1.0 - a) * b + a
-    if d == 0.0:
+    if a == 0.0 and b == 0.0:
         raise ValueError("degenerate input: a = 0 and b = 0")
-    return _ultra_log_convex_ratio(n, 1.0 - (a / d) ** 2)
+    return _ultra_log_convex_ratio(n, _one_minus_ratio_squared(a, (1.0 - a) * b))
+
+
+def _one_minus_ratio_squared(a: float, e: float) -> float:
+    # 1 - (a/d)^2 with d = a + e, formed as (e/d)((e + 2a)/d), at most 1.
+    # e = (1-a)b is a product, so every term keeps its relative precision; at
+    # small x = e/a, 1 - (a/d)^2 ~ 2x would lose it to cancellation
+    d = a + e
+    return min((e / d) * ((e + 2.0 * a) / d), 1.0)
 
 
 def _ultra_log_convex_ratio(n: int, denom: float) -> float:

@@ -143,7 +143,9 @@ def semigroup_apply(params: QueueParams, t: float, f: Observable, k: int) -> flo
     return math.exp(log_semigroup_apply(params, t, f, k))
 
 
-def log_semigroup_apply(params: QueueParams, t: float, f: Observable, k: int) -> float:
+def log_semigroup_apply(
+    params: QueueParams, t: float, f: Observable, k: int
+) -> float:
     """log of the semigroup action, accumulated in the log domain so that
     far-from-support evaluations stay meaningful."""
     if t <= 0:

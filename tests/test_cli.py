@@ -17,17 +17,17 @@ from mminf.oracle import uniformized_kernel
 # and recorded in CHANGES.md
 GOLDEN = {
     "sweep": (
-        1, "0c3d3966b48b1c5cf3b73b219fd618769d6e774654fbd2232be5ae03e455e567"),
+        1, "78430704b48d524533cd71052b4e65f539e884bf7a03cee06bc101f8114e1a01"),
     "verify-generalized": (
-        1, "21b17221077331c652c8c35c1c08bf9b429f3749958732d9eb53c683bb2c334a"),
+        1, "3f3d78faf453ef40e44097232b1806bf7f38d4bbcfda8ffb72dc183fec7e772e"),
     "verify-theorem": (
-        0, "8119acd906180e9637e646ed8ebfeb15f5cc44e9f44c692f455f315eb8dd53a8"),
+        0, "0cfe15bad676d5e806dc1a1851a057ea1e8a17958d64da7cd357247c8b82670c"),
     "oracle-check": (
         0, "4d2ea525bc936d092c3a59eea382bb839c2001afdc696a70a7d8c943aefeeac2"),
     "sharpness": (
         0, "ad315883ba5c1c63f3790c92ec11c44a5ffcb2615a36f917a9b391cb8ff18ee1"),
     "verify-lemma": (
-        1, "b67d12910784db7511c62de1ee3e84c15aece05ee4efbe1c5849f8bf37e9179e"),
+        1, "7593c7eb0731d827b8541dd2074225e80ed3dc00249c996a7d3169c5885f7d74"),
 }
 
 COMMANDS = ["verify-lemma", "verify-theorem", "verify-generalized",
@@ -270,6 +270,11 @@ class TestRun:
             # untestable rows and no failure
             (3, ["verify-generalized", "--a", "0.25", "--a", "0.5", "--b", "0",
                  "--kmax", "4", "--nmax", "10", "--strict"]),
+            # x = 1e-6: the equality at n = 1 is no false fail
+            (0, ["verify-lemma", "--rho", "0.01", "--p", "0.99", "--kmax", "1",
+                 "--nmax", "1"]),
+            (0, ["verify-theorem", "--rho", "0.01", "--p", "0.99",
+                 "--f", "indicator:1", "--nmax", "2"]),
         ],
         ids=lambda v: v[0] if isinstance(v, list) else str(v),
     )
