@@ -3,7 +3,7 @@
 All comparisons happen in the log domain with an explicit additive error
 budget: a case passes when its margin (left side minus right side of the
 inequality) is at least minus the budget. Entries whose certified mass falls
-below kernel.MASS_FLOOR are reported as untestable rather than pass, because
+below MASS_FLOOR are reported as untestable rather than pass, because
 ratios of sub-denormal masses carry no information.
 """
 
@@ -19,7 +19,6 @@ import numpy as np
 
 from .distributions import LOG_ZERO, convolution_log_matrix
 from .kernel import (
-    LOG_MASS_FLOOR,
     Observable,
     QueueParams,
     _entry_log_error,
@@ -33,12 +32,17 @@ from .kernel import log_semigroup_apply  # noqa: F401
 
 LOG_TWELVE = math.log(12.0)
 
+# ratios of masses below this floor carry no information: the inequality
+# checks report such points untestable rather than pass
+MASS_FLOOR = 1e-280
+LOG_MASS_FLOOR = math.log(MASS_FLOOR)
+
 
 def sharp_bound(rho: float, p: float) -> float:
     """Sharp lower bound on the discrete Laplacian of the log-semigroup:
     log(1 - p^2 / [p + rho(1-p)^2]^2). Zero at p=0, -inf at p=1."""
-    if rho <= 0:
-        raise ValueError(f"rho must be positive, got {rho}")
+    if not 0.0 < rho < math.inf:
+        raise ValueError(f"rho must be finite and positive, got {rho}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0,1], got {p}")
     if p == 1.0:
@@ -63,8 +67,8 @@ def lemma_K(rho: float, p: float, n: int) -> float:
     The value is >= (n+1)/n, the ultra-log-convexity constant of the Poisson
     row, with equality (bit for bit) at p = 0; inf means the constant blows up,
     as it does at p = 1."""
-    if rho <= 0:
-        raise ValueError(f"rho must be positive, got {rho}")
+    if not 0.0 < rho < math.inf:
+        raise ValueError(f"rho must be finite and positive, got {rho}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0,1], got {p}")
     if n < 1:
@@ -75,14 +79,14 @@ def lemma_K(rho: float, p: float, n: int) -> float:
 def remark_M(a: float, b: float, n: int) -> float:
     """Generalized constant for binomial(k, a) * Poisson(b) rows,
     M = ((n+1)/n) / (1 - a^2 / [(1-a)b + a]^2); reduces to lemma_K when a = p
-    and b = rho(1-p). b is accepted on [0, inf).
+    and b = rho(1-p), for finite b >= 0.
 
     The value is >= (n+1)/n, with equality (bit for bit) at a = 0; inf means
     the constant blows up, as it does at a = 1 or b = 0."""
     if not 0.0 <= a <= 1.0:
         raise ValueError(f"a must lie in [0,1], got {a}")
-    if b < 0:
-        raise ValueError(f"b must be non-negative, got {b}")
+    if not 0.0 <= b < math.inf:
+        raise ValueError(f"b must be finite and non-negative, got {b}")
     if n < 1:
         raise ValueError(f"lattice point must be >= 1, got {n}")
     if a == 0.0 and b == 0.0:
@@ -91,9 +95,10 @@ def remark_M(a: float, b: float, n: int) -> float:
 
 
 def _one_minus_ratio_squared(a: float, e: float) -> float:
-    # 1 - (a/d)^2 with d = a + e, formed as (e/d)((e + 2a)/d), at most 1.
-    # e = (1-a)b is a product, so every term keeps its relative precision; at
-    # small x = e/a, 1 - (a/d)^2 ~ 2x would lose it to cancellation
+    # 1 - (a/d)^2 with d = a + e, formed as (e/d)((e + 2a)/d). e = (1-a)b is
+    # a product, so every term keeps its relative precision; at small
+    # x = e/a, 1 - (a/d)^2 ~ 2x would lose it to cancellation. Where a/d is
+    # tiny the product can round above 1, so it is clamped there
     d = a + e
     return min((e / d) * ((e + 2.0 * a) / d), 1.0)
 

@@ -21,11 +21,6 @@ from .distributions import (
     poisson_log_pmf,
 )
 
-# ratios of masses below this floor carry no information: the inequality
-# checks report such points untestable rather than pass
-MASS_FLOOR = 1e-280
-LOG_MASS_FLOOR = math.log(MASS_FLOOR)
-
 
 @dataclass(frozen=True)
 class QueueParams:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from mminf.bounds import (
+    LOG_MASS_FLOOR,
     LOG_TWELVE,
     CaseResult,
     VerificationReport,
@@ -27,7 +28,6 @@ from mminf.bounds import (
 )
 from mminf.distributions import LOG_ZERO, logsumexp, poisson_window
 from mminf.kernel import (
-    LOG_MASS_FLOOR,
     Observable,
     QueueParams,
     _entry_log_error,
@@ -144,6 +144,18 @@ class TestRemarkM:
         assert remark_M(p, b, n) == pytest.approx(
             lemma_K(rho, p, n), rel=1e-12
         )
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_constants_refuse_non_finite_intensity(bad):
+    # 1 - (a/d)^2 is formed as (e/d)((e + 2a)/d), which is nan at e = inf
+    for constant in (
+        lambda: sharp_bound(bad, 0.5),
+        lambda: lemma_K(bad, 0.5, 1),
+        lambda: remark_M(0.5, bad, 1),
+    ):
+        with pytest.raises(ValueError, match="finite"):
+            constant()
 
 
 class TestLogLaplacian:
